@@ -16,12 +16,20 @@ from . import deformation as da
 from . import invariants as pi
 from . import normal_form as nfm
 from .errors import ConsistencyError, DomainError, GenericityError, UsageError
-from .germs import MapGerm, germ_from_jets, rank_at
+from .germs import MapGerm, PointDerivatives
 from .reports import conic_svg, mesh_k_signs, mesh_obj, to_json, trace_csv
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports malformed arguments as UsageError (subcommand parsers are
+    built from this class too)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="crosscap",
         description="Normal forms and invariant sweeps for one-parameter "
         "deformations of rank-1 surface germs.",
@@ -197,21 +205,23 @@ def cmd_analyze(args):
     else:
         frozen = germ
 
-    rank = rank_at(frozen, point)
+    d = frozen.derivatives(point)
+    rank = d.rank()
     report["point"] = list(point)
     report["rank"] = rank
     if rank != 1:
         report["regular"] = rank == 2
         report["note"] = "no rank-1 singular point at the requested point"
     else:
-        is_umbrella = pi.whitney_test(frozen, point)
+        frame = pi.frame_at(d)
+        is_umbrella = pi.is_cross_cap(frame)
         report["whitney_umbrella"] = is_umbrella
         report["curvature_parabola"] = _parabola_dict(
-            pi.curvature_parabola(frozen, point)
+            pi.curvature_parabola_from_frame(frame)
         )
-        report["focal_conic"] = _conic_dict(pi.focal_conic(frozen, point))
+        report["focal_conic"] = _conic_dict(pi.focal_conic_from_frame(frame))
         if is_umbrella:
-            scalars, inv = pi.umbrella_invariants(frozen, point)
+            scalars, inv = pi.invariants_from_frame(frame)
             report["fundamental_scalars"] = {
                 "A": scalars.A,
                 "B": scalars.B,
@@ -292,15 +302,15 @@ def cmd_focal(args):
             umb = [r for r in records if r.cls == "umbrella" and r.point[0] > 0]
             record = umb[0] if umb else records[0]
             point = record.point
-        frozen = germ_from_jets(nf.components()).at_parameter(args.s)
+        d = PointDerivatives.from_polynomials(nf.components(), (*point, args.s))
         report["s"] = args.s
         report["coordinates"] = "normal-form source"
     else:
         if args.point is None:
             raise UsageError("a plain germ needs an explicit --point")
         point = _parse_point(args.point)
-        frozen = germ
-    conic = pi.focal_conic(frozen, point)
+        d = germ.derivatives(point)
+    conic = pi.focal_conic_from_frame(pi.frame_at(d))
     report["point"] = list(point)
     report["conic"] = _conic_dict(conic)
     svg = conic_svg(conic)
@@ -316,9 +326,7 @@ def cmd_gauss_probe(args):
     _check_order(args.order)
     germ = _load_germ(args)
     nf = nfm.normalize_parameter(nfm.reduce(germ, args.order))
-    cs = nfm.scalar_coefficients(nf)
-    probe_germ = germ_from_jets(nf.components())
-    rep = da.gauss_sign_probe(probe_germ, cs, args.s_tilde, order=args.order)
+    rep = da.gauss_sign_probe(nf, args.s_tilde)
     report = _meta(args)
     report.update(
         {
@@ -374,9 +382,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(to_json({"error": {"type": "usage", "message": str(exc)}}))

@@ -5,7 +5,9 @@ probe the Gaussian-curvature sign law, and extract the Frenet data of the
 singular-point trajectory.
 
 Throughout, s = -st^2 with st >= 0, and u(st) denotes the positive branch
-of the singular locus of the reduced germ.
+of the singular locus of the reduced germ.  Pointwise data at a source
+point (u, v, s) of the reduced germ comes from the assembled normal-form
+jets through ``PointDerivatives.from_polynomials``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, DomainError, UsageError
-from .germs import MapGerm
+from .germs import MapGerm, PointDerivatives
 from .invariants import (
     UmbrellaInvariants,
-    crosscheck_conic_kind,
     focal_conic_from_frame,
-    form_bundle,
-    frame_from_vectors,
+    form_bundle_from,
+    frame_at,
     invariants_from_frame,
-    _whitney_det_ok,
+    is_cross_cap,
 )
 from .jets import Jet, branch_solve
 from .normal_form import (
@@ -40,42 +41,6 @@ from .normal_form import (
 LOCUS_RESIDUAL_TOL = 1e-10
 ROOT_IMAG_TOL = 1e-8
 DEFAULT_GRID = tuple(0.1 * 2.0**-j for j in range(7))
-
-
-# -- evaluation of the assembled normal form -----------------------------------
-
-
-class NormalFormEvaluator:
-    """Derivative jets of the assembled normal form, evaluated at numeric
-    points of the source; feeds the pointwise-invariant machinery without
-    re-expanding anything symbolically."""
-
-    def __init__(self, nf: NormalFormData):
-        self.nf = nf
-        comps = nf.components()
-        self.comps = comps
-        self.d_u = [c.partial(0) for c in comps]
-        self.d_v = [c.partial(1) for c in comps]
-        self.d_uu = [c.partial(0) for c in self.d_u]
-        self.d_uv = [c.partial(1) for c in self.d_u]
-        self.d_vv = [c.partial(1) for c in self.d_v]
-
-    def _vec(self, jets, point):
-        return np.array([j.eval(point) for j in jets])
-
-    def frame(self, u0, s0, enforce_positive_triple=True):
-        point = (u0, 0.0, s0)
-        return frame_from_vectors(
-            self._vec(self.d_u, point),
-            self._vec(self.d_uu, point),
-            self._vec(self.d_uv, point),
-            self._vec(self.d_vv, point),
-            enforce_positive_triple=enforce_positive_triple,
-        )
-
-    def f33_poly(self, s0) -> np.ndarray:
-        """Coefficients (ascending) of u -> f33(u, s0)."""
-        return self.nf.f33.subs(1, s0).c.copy()
 
 
 # -- singular locus --------------------------------------------------------------
@@ -98,8 +63,8 @@ def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
         raise DegeneracyError(
             "singular_locus needs c2(0) != 0; this degeneracy is unsupported"
         )
-    ev = NormalFormEvaluator(nf)
-    poly = ev.f33_poly(s)
+    comps = nf.components()
+    poly = nf.f33.subs(1, s).c
     roots = _real_roots(poly, radius)
     st = math.sqrt(-s) if s <= 0 else float("nan")
     records = []
@@ -110,19 +75,16 @@ def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
                 f"root u = {u0:.6g} of the singular locus leaves residual "
                 f"{residual:.3e}"
             )
-        frame = ev.frame(u0, s)
-        if _whitney_det_ok(frame):
+        frame = frame_at(PointDerivatives.from_polynomials(comps, (u0, 0.0, s)))
+        kind = focal_conic_from_frame(frame).kind
+        if is_cross_cap(frame):
             _, inv = invariants_from_frame(frame)
-            conic = focal_conic_from_frame(frame)
             records.append(
-                SingularPointRecord(st, (u0, 0.0), "umbrella", inv, conic.kind, residual)
+                SingularPointRecord(st, (u0, 0.0), "umbrella", inv, kind, residual)
             )
         else:
             cls = "S1" if abs(u0) <= 1e-7 and abs(s) <= 1e-12 else "degenerate"
-            conic = focal_conic_from_frame(frame)
-            records.append(
-                SingularPointRecord(st, (u0, 0.0), cls, None, conic.kind, residual)
-            )
+            records.append(SingularPointRecord(st, (u0, 0.0), cls, None, kind, residual))
     return records
 
 
@@ -255,25 +217,24 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     """
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
-    ev = NormalFormEvaluator(nf)
+    comps = nf.components()
     rows = []
     for st in s_tilde_grid:
         s = -st * st
-        roots = _real_roots(ev.f33_poly(s), radius=1.0)
+        roots = _real_roots(nf.f33.subs(1, s).c, radius=1.0)
         if not roots:
             continue
         alpha1 = 1.0 / cs.c20 if cs.c2_0 > 0 else 0.0
         u_plus = min(roots, key=lambda r: abs(r - alpha1 * st))
         u_minus = min(roots, key=lambda r: abs(r + alpha1 * st))
-        frame = ev.frame(u_plus, s)
-        if not _whitney_det_ok(frame):
+        frame = frame_at(PointDerivatives.from_polynomials(comps, (u_plus, 0.0, s)))
+        if not is_cross_cap(frame):
             raise DegeneracyError(
                 f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
                 "is not a cross-cap"
             )
         _, inv = invariants_from_frame(frame)
-        conic = focal_conic_from_frame(frame)
-        kind = crosscheck_conic_kind(conic.kind, inv)
+        kind = focal_conic_from_frame(frame).kind
         rows.append(
             TraceRow(
                 s_tilde=st,
@@ -377,22 +338,23 @@ def default_k_grid(n: int = 8) -> np.ndarray:
 
 
 def gauss_sign_probe(
-    f: MapGerm,
-    cs: CoefficientSet,
+    nf: NormalFormData,
     s_tilde: float,
     thetas: Optional[np.ndarray] = None,
     k_fracs: Optional[np.ndarray] = None,
-    order: int = 8,
     search_s0: bool = True,
 ) -> GaussProbeReport:
     """Compare the sign of K = L N - M^2 near the singular segment with the
     sign of st * sin(theta) * f31(0).
 
-    The germ must already be in normal form (the sample points live in its
-    source coordinates).  The k grid is a fraction of the theta-dependent
-    radius R; when ``search_s0`` is set, a bisection locates the largest
-    st in (0, 1/2] for which every sample agrees.
+    The sample points live in the source coordinates of the normal form,
+    whose parameter must be normalized.  The k grid is a fraction of the
+    theta-dependent radius R; when ``search_s0`` is set, a bisection
+    locates the largest st in (0, 1/2] for which every sample agrees.
     """
+    if not nf.parameter_normalized:
+        raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
+    cs = scalar_coefficients(nf)
     if abs(cs.f31_0) <= CLASS_TOL:
         raise DomainError("the sign law needs f31(0) != 0")
     if thetas is None:
@@ -402,19 +364,19 @@ def gauss_sign_probe(
     thetas = np.asarray(thetas, dtype=float)
     k_fracs = np.asarray(k_fracs, dtype=float)
 
-    f33 = _f33_jet_of(f, order)
-    agreement, mismatches, u_st = _probe_once(f, cs, f33, s_tilde, thetas, k_fracs)
+    comps = nf.components()
+    agreement, mismatches, u_st = _probe_once(nf.f33, comps, cs, s_tilde, thetas, k_fracs)
 
     st_max = None
     if search_s0:
         lo, hi = 0.0, 0.5
-        ok_hi, _, _ = _probe_once(f, cs, f33, hi, thetas, k_fracs)
+        ok_hi, _, _ = _probe_once(nf.f33, comps, cs, hi, thetas, k_fracs)
         if ok_hi == 1.0:
             st_max = hi
         else:
             for _ in range(20):
                 mid = 0.5 * (lo + hi)
-                ok, _, _ = _probe_once(f, cs, f33, mid, thetas, k_fracs)
+                ok, _, _ = _probe_once(nf.f33, comps, cs, mid, thetas, k_fracs)
                 if ok == 1.0:
                     lo = mid
                 else:
@@ -431,19 +393,13 @@ def gauss_sign_probe(
     )
 
 
-def _f33_jet_of(f: MapGerm, order) -> Jet:
-    jets = f.jet_at((0.0, 0.0, 0.0), order)
-    return jets[2].partial(1).subs(1, 0.0)
-
-
-def _probe_once(f, cs, f33, st, thetas, k_fracs):
+def _probe_once(f33, comps, cs, st, thetas, k_fracs):
     s = -st * st
     roots = _real_roots(f33.subs(1, s).c, radius=1.0)
     if not roots:
         return 0.0, (), float("nan")
     alpha1 = 1.0 / cs.c20
     u_st = min(roots, key=lambda r: abs(r - alpha1 * st))
-    frozen = f.at_parameter(s)
     c2 = cs.c20**2
     shoulder = c2 + 3.0 * cs.d2
     total = 0
@@ -456,8 +412,8 @@ def _probe_once(f, cs, f33, st, thetas, k_fracs):
         predicted = math.copysign(1.0, st * math.sin(theta) * cs.f31_0)
         for frac in k_fracs:
             r = frac * R * u_st
-            point = (r * math.cos(theta), r * math.sin(theta))
-            K = form_bundle(frozen, point).K
+            point = (r * math.cos(theta), r * math.sin(theta), s)
+            K = form_bundle_from(PointDerivatives.from_polynomials(comps, point)).K
             total += 1
             if math.copysign(1.0, K) != predicted:
                 bad.append((float(theta), float(frac), float(K)))

@@ -5,6 +5,8 @@ A germ is a triple of expressions in (u, v); a deformation additionally
 uses the parameter s and must fix the origin along the parameter axis.
 Jets of a germ are computed by evaluating the expression tree in jet
 arithmetic, so every Taylor coefficient comes from the exact chain rule.
+``PointDerivatives`` holds the first and second derivatives at one point
+and is the only place they are read out of jets.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, jet_recip, jet_sqrt
+from .jets import Jet, horner, jet_recip, jet_sqrt
 
 # -- expression trees ---------------------------------------------------------
 
@@ -448,6 +450,10 @@ class MapGerm:
         }
         return tuple(eval_jet(e, env) for e in self.components)
 
+    def derivatives(self, point) -> "PointDerivatives":
+        """First and second derivatives at ``point`` from one order-2 jet."""
+        return PointDerivatives.from_jets(self.jet_at(point, 2))
+
     def at_parameter(self, s0) -> "MapGerm":
         """Freeze the deformation parameter; the result is a plain germ."""
         if self.kind != "deformation":
@@ -492,43 +498,79 @@ def parse_germ_source(text):
     return tuple(_Parser(g).parse() for g in groups)
 
 
-# -- pointwise linear algebra ------------------------------------------------------
+# -- pointwise derivatives -----------------------------------------------------------
 
 RANK_TOL = 1e-9  # singular value below RANK_TOL * (sigma_max + 1) counts as zero
 
 
-def jacobian_uv(f: MapGerm, point) -> np.ndarray:
-    """3x2 Jacobian with respect to (u, v) at the point."""
-    jets = f.jet_at(point, 2)
-    J = np.zeros((3, 2))
-    for i, jet in enumerate(jets):
-        for j in range(2):
-            idx = [0] * f.nvars
-            idx[j] = 1
-            J[i, j] = jet.coeff(tuple(idx))
-    return J
+@dataclass(frozen=True)
+class PointDerivatives:
+    """First and second derivatives in (u, v) of a map into R^3 at one point.
+
+    ``grad[c, i]`` is d f_c / d x_i and ``hess[c, i, j]`` is
+    d^2 f_c / d x_i d x_j with x = (u, v); a further parameter variable,
+    if any, is held fixed.  This is the one source of pointwise derivative
+    data: rank, kernel, the second-order frame and everything built on it
+    are read from here.  Non-finite entries raise DomainError.
+    """
+
+    grad: np.ndarray  # 3 x 2
+    hess: np.ndarray  # 3 x 2 x 2
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.grad)) and np.all(np.isfinite(self.hess))):
+            raise DomainError("non-finite derivative at the requested point")
+
+    @classmethod
+    def from_jets(cls, jets) -> "PointDerivatives":
+        """Read the low coefficients of three jets expanded about the point,
+        with u and v as their first two variables."""
+        pad = (0,) * (jets[0].nvars - 2)
+        low = [j.c[(slice(0, 3), slice(0, 3)) + pad] for j in jets]
+        grad = np.array([[c[1, 0], c[0, 1]] for c in low])
+        hess = np.array(
+            [[[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]] for c in low]
+        )
+        return cls(grad, hess)
+
+    @classmethod
+    def from_polynomials(cls, jets, point) -> "PointDerivatives":
+        """Evaluate the partials of three polynomial jets (about the origin,
+        u and v first) at a numeric point away from it."""
+        table = []
+        for j in jets:
+            d_u, d_v = j.partial(0), j.partial(1)
+            table.append(
+                [d_u.c, d_v.c, d_u.partial(0).c, d_u.partial(1).c, d_v.partial(1).c]
+            )
+        vals = horner(np.array(table), point)  # 3 x 5
+        return cls(vals[:, :2], vals[:, [2, 3, 3, 4]].reshape(3, 2, 2))
+
+    def rank(self) -> int:
+        sv = np.linalg.svd(self.grad, compute_uv=False)
+        return int(np.sum(sv > RANK_TOL * (sv[0] + 1.0)))
+
+    def null_vector(self) -> np.ndarray:
+        """Unit generator of Ker df at a rank-1 point; the first entry larger
+        than the rank tolerance is made positive."""
+        rank = self.rank()
+        if rank != 1:
+            raise DomainError(f"null_vector needs a rank-1 point, got rank {rank}")
+        n = np.linalg.svd(self.grad)[2][-1]
+        for entry in n:
+            if abs(entry) > RANK_TOL:
+                if entry < 0:
+                    n = -n
+                break
+        return n
 
 
 def rank_at(f: MapGerm, point) -> int:
-    sv = np.linalg.svd(jacobian_uv(f, point), compute_uv=False)
-    return int(np.sum(sv > RANK_TOL * (sv[0] + 1.0)))
+    return f.derivatives(point).rank()
 
 
 def null_vector(f: MapGerm, point) -> np.ndarray:
-    """Unit generator of Ker df at a rank-1 point; the first entry larger
-    than the rank tolerance is made positive."""
-    J = jacobian_uv(f, point)
-    U, sv, Vt = np.linalg.svd(J)
-    rank = int(np.sum(sv > RANK_TOL * (sv[0] + 1.0)))
-    if rank != 1:
-        raise DomainError(f"null_vector needs a rank-1 point, got rank {rank}")
-    n = Vt[-1]
-    for entry in n:
-        if abs(entry) > RANK_TOL:
-            if entry < 0:
-                n = -n
-            break
-    return n
+    return f.derivatives(point).null_vector()
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -551,18 +593,23 @@ class AdmissibilityReport:
 
 
 def admissibility_check(f: MapGerm, order: int = 8) -> AdmissibilityReport:
-    """Check the hypotheses of the normal-form reduction.
+    """Check the hypotheses of the normal-form reduction (see
+    ``admissibility_from_jets``) on the germ's jets at the origin."""
+    if f.kind != "deformation":
+        raise UsageError("admissibility_check needs a deformation")
+    return admissibility_from_jets(f.jet_at((0.0, 0.0, 0.0), order))
+
+
+def admissibility_from_jets(jets) -> AdmissibilityReport:
+    """Admissibility of a deformation from its jets in (u, v, s) at 0.
 
     (i) the parameter axis maps to the origin, (ii) the differential at the
     base point has rank one, and (iii) the second derivative along the null
     direction has a component normal to the image line (so the quadratic
     part in v survives some rotation).
     """
-    if f.kind != "deformation":
-        raise UsageError("admissibility_check needs a deformation")
     clauses = []
 
-    jets = f.jet_at((0.0, 0.0, 0.0), order)
     axis_dev = max(j.subs(0, 0.0).subs(0, 0.0).max_abs() for j in jets)
     scale = 1.0 + max(j.max_abs() for j in jets)
     ok_axis = axis_dev <= 1e-10 * scale
@@ -574,17 +621,17 @@ def admissibility_check(f: MapGerm, order: int = 8) -> AdmissibilityReport:
         )
     )
 
-    rank = rank_at(f, (0.0, 0.0, 0.0))
+    d = PointDerivatives.from_jets(jets)
+    rank = d.rank()
     clauses.append(Clause("rank_one", rank == 1, f"rank df_0 = {rank}"))
 
     ok_two_jet = False
     detail = "skipped (rank != 1)"
     if rank == 1:
-        J = jacobian_uv(f, (0.0, 0.0, 0.0))
-        n = null_vector(f, (0.0, 0.0, 0.0))
+        n = d.null_vector()
         t = np.array([n[1], -n[0]])
-        h_nn = np.array([_second_derivative(j, n, n) for j in jets])
-        w = J @ t
+        h_nn = d.hess @ n @ n
+        w = d.grad @ t
         w_hat = w / np.linalg.norm(w)
         ortho = h_nn - (h_nn @ w_hat) * w_hat
         size = float(np.linalg.norm(ortho))
@@ -593,49 +640,6 @@ def admissibility_check(f: MapGerm, order: int = 8) -> AdmissibilityReport:
     clauses.append(Clause("quadratic_normal_part", ok_two_jet, detail))
 
     return AdmissibilityReport(all(c.passed for c in clauses), tuple(clauses))
-
-
-def _second_derivative(jet, a, b):
-    """a^T H b for the Hessian H of one component at the base point."""
-    h = np.zeros((2, 2))
-    nv = jet.nvars
-    for i in range(2):
-        for j in range(2):
-            idx = [0] * nv
-            idx[i] += 1
-            idx[j] += 1
-            h[i, j] = jet.deriv0(tuple(idx))
-    return float(a @ h @ b)
-
-
-def expr_from_jet(jet, names=("u", "v", "s")) -> Expr:
-    """Polynomial expression tree with the jet's coefficients (used to turn
-    reduced jets back into germs)."""
-    terms = []
-    for idx in np.ndindex(*jet.c.shape):
-        coef = float(jet.c[idx])
-        if coef == 0.0:
-            continue
-        node: Expr = Num(coef)
-        for axis, e in enumerate(idx):
-            if e == 0:
-                continue
-            var = Var(names[axis])
-            node = Mul(node, var if e == 1 else Pow(var, e))
-        terms.append(node)
-    if not terms:
-        return Num(0.0)
-    out = terms[0]
-    for term in terms[1:]:
-        out = Add(out, term)
-    return out
-
-
-def germ_from_jets(jets, kind="deformation") -> MapGerm:
-    """MapGerm with polynomial components read off three jets."""
-    names = ("u", "v", "s") if jets[0].nvars == 3 else ("u", "v")
-    exprs = [expr_from_jet(j, names) for j in jets]
-    return MapGerm(exprs[0], exprs[1], exprs[2], kind=kind)
 
 
 # -- standard model germs ----------------------------------------------------------

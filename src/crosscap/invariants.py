@@ -1,10 +1,13 @@
 """Second-order geometry at rank-1 points of a surface germ.
 
-Everything here is computed from the five derivative vectors f_u, f_v,
-f_uu, f_uv, f_vv at the point, taken in source coordinates aligned so the
-kernel of df is the v-direction (with v flipped, when needed, to make the
-triple determinant |f_u, f_uv, f_vv| positive).  That convention pins the
-sign of the mixed invariant a11.
+Everything here is read from one ``germs.PointDerivatives`` object: the
+five derivative vectors f_u, f_v, f_uu, f_uv, f_vv at the point, taken in
+source coordinates aligned so the kernel of df is the v-direction (with v
+flipped, when needed, to make the triple determinant |f_u, f_uv, f_vv|
+positive).  That convention pins the sign of the mixed invariant a11.
+The ``(f, point)`` functions expand the germ once at the point and read
+from that object; the ``*_from_frame`` functions serve callers that
+already hold the derivatives, such as points of an assembled normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .germs import MapGerm, null_vector, rank_at
+from .germs import MapGerm, PointDerivatives
 
 WHITNEY_TOL = 1e-9
 CONIC_TOL = 1e-9
@@ -35,65 +38,32 @@ class SecondOrderFrame:
     f_uu: np.ndarray
     f_uv: np.ndarray
     f_vv: np.ndarray
-    v_flipped: bool
-    source_rotation: np.ndarray  # 2x2 change applied to (u, v)
 
     def triple(self, a, b, c):
         return float(np.linalg.det(np.column_stack([a, b, c])))
 
 
-def frame_at(f: MapGerm, point, enforce_positive_triple=True) -> SecondOrderFrame:
-    """Align the source so Ker df = <d_v> and optionally flip v for C > 0."""
+def frame_at(d: PointDerivatives) -> SecondOrderFrame:
+    """Align the source so Ker df = <d_v> and flip v when needed for C > 0."""
+    n = d.null_vector()
+    t = np.array([n[1], -n[0]])
+    f_u = d.grad @ t
+    f_v = d.grad @ n
+    f_uu = np.einsum("cij,i,j->c", d.hess, t, t)
+    f_uv = np.einsum("cij,i,j->c", d.hess, t, n)
+    f_vv = np.einsum("cij,i,j->c", d.hess, n, n)
+    if float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv]))) < 0.0:
+        f_uv = -f_uv
+        f_v = -f_v
+    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv)
+
+
+def _plain_frame(f: MapGerm, point) -> SecondOrderFrame:
     if f.kind != "germ":
         raise DomainError(
             "pointwise invariants need a plain germ; freeze the parameter first"
         )
-    if rank_at(f, point) != 1:
-        raise DomainError(f"rank at {tuple(point)} is not 1")
-    n = null_vector(f, point)
-    t = np.array([n[1], -n[0]])
-    rot = np.column_stack([t, n])  # det +1
-
-    jx, jy, jz = f.jet_at(point, 2)
-    grad = np.array([[j.c[1, 0], j.c[0, 1]] for j in (jx, jy, jz)])
-    hess = np.array(
-        [
-            [[2.0 * j.c[2, 0], j.c[1, 1]], [j.c[1, 1], 2.0 * j.c[0, 2]]]
-            for j in (jx, jy, jz)
-        ]
-    )
-    f_u = grad @ t
-    f_v = grad @ n
-    f_uu = np.einsum("cij,i,j->c", hess, t, t)
-    f_uv = np.einsum("cij,i,j->c", hess, t, n)
-    f_vv = np.einsum("cij,i,j->c", hess, n, n)
-
-    flipped = False
-    if enforce_positive_triple:
-        C = float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv])))
-        if C < 0.0:
-            f_uv = -f_uv
-            f_v = -f_v
-            rot = rot @ np.diag([1.0, -1.0])
-            flipped = True
-    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv, flipped, rot)
-
-
-def frame_from_vectors(f_u, f_uu, f_uv, f_vv, enforce_positive_triple=True):
-    """Frame from precomputed derivative vectors (kernel already on d_v)."""
-    f_u = np.asarray(f_u, float)
-    f_uu = np.asarray(f_uu, float)
-    f_uv = np.asarray(f_uv, float)
-    f_vv = np.asarray(f_vv, float)
-    flipped = False
-    rot = np.eye(2)
-    if enforce_positive_triple:
-        C = float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv])))
-        if C < 0.0:
-            f_uv = -f_uv
-            rot = np.diag([1.0, -1.0])
-            flipped = True
-    return SecondOrderFrame(f_u, np.zeros(3), f_uu, f_uv, f_vv, flipped, rot)
+    return frame_at(f.derivatives(point))
 
 
 def normal_plane_basis(f_u) -> np.ndarray:
@@ -126,12 +96,11 @@ def normal_plane_basis(f_u) -> np.ndarray:
 
 
 def whitney_test(f: MapGerm, point) -> bool:
+    return is_cross_cap(_plain_frame(f, point))
+
+
+def is_cross_cap(frame: SecondOrderFrame) -> bool:
     """A rank-1 point is a cross-cap iff |f_u, f_vv, f_uv| does not vanish."""
-    frame = frame_at(f, point, enforce_positive_triple=False)
-    return _whitney_det_ok(frame)
-
-
-def _whitney_det_ok(frame) -> bool:
     det = frame.triple(frame.f_u, frame.f_vv, frame.f_uv)
     scale = (
         np.linalg.norm(frame.f_u)
@@ -178,18 +147,17 @@ def fundamental_scalars(frame: SecondOrderFrame) -> FundamentalScalars:
 
 
 def umbrella_invariants(f: MapGerm, point):
+    return invariants_from_frame(_plain_frame(f, point))
+
+
+def invariants_from_frame(frame: SecondOrderFrame):
     """The three second-order invariants at a cross-cap point.
 
     Returns (FundamentalScalars, UmbrellaInvariants); requires the
     Whitney-umbrella test to pass at the point.
     """
-    frame = frame_at(f, point)
-    if not _whitney_det_ok(frame):
-        raise DomainError(f"point {tuple(point)} is not a cross-cap")
-    return invariants_from_frame(frame)
-
-
-def invariants_from_frame(frame: SecondOrderFrame):
+    if not is_cross_cap(frame):
+        raise DomainError("the point is not a cross-cap")
     fs = fundamental_scalars(frame)
     A, B, C, D, E = fs.A, fs.B, fs.C, fs.D, fs.E_inv
     a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
@@ -222,8 +190,7 @@ class CurvatureParabola:
 
 
 def curvature_parabola(f: MapGerm, point) -> CurvatureParabola:
-    frame = frame_at(f, point)
-    return curvature_parabola_from_frame(frame)
+    return curvature_parabola_from_frame(_plain_frame(f, point))
 
 
 def curvature_parabola_from_frame(frame: SecondOrderFrame) -> CurvatureParabola:
@@ -284,19 +251,8 @@ CONIC_KINDS = (
 )
 
 
-def focal_conic(f: MapGerm, point, cross_check=True) -> FocalConic:
-    """Critical-value conic of the squared-distance family at a rank-1 point.
-
-    The determinant of the Hessian of D^x restricted to the affine normal
-    plane is the quadratic form below; at cross-cap points the kind is
-    cross-checked against the sign rule in terms of a20 a02.
-    """
-    frame = frame_at(f, point)
-    conic = focal_conic_from_frame(frame)
-    if cross_check and _whitney_det_ok(frame):
-        _, inv = invariants_from_frame(frame)
-        crosscheck_conic_kind(conic.kind, inv)
-    return conic
+def focal_conic(f: MapGerm, point) -> FocalConic:
+    return focal_conic_from_frame(_plain_frame(f, point))
 
 
 def crosscheck_conic_kind(kind, inv: UmbrellaInvariants) -> str:
@@ -320,6 +276,12 @@ def crosscheck_conic_kind(kind, inv: UmbrellaInvariants) -> str:
 
 
 def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
+    """Critical-value conic of the squared-distance family at a rank-1 point.
+
+    The determinant of the Hessian of D^x restricted to the affine normal
+    plane is the quadratic form below; at cross-cap points the kind is
+    cross-checked against the sign rule in terms of a20 a02.
+    """
     basis = normal_plane_basis(frame.f_u)
     A = float(frame.f_u @ frame.f_u)
     p_uu = basis.T @ frame.f_uu
@@ -329,7 +291,10 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
     M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
     b = -A * p_vv
     c = 0.0
-    return FocalConic(M, b, c, _classify_conic(M, b, c), basis)
+    kind = _classify_conic(M, b, c)
+    if is_cross_cap(frame):
+        crosscheck_conic_kind(kind, invariants_from_frame(frame)[1])
+    return FocalConic(M, b, c, kind, basis)
 
 
 def _classify_conic(M, b, c):
@@ -383,12 +348,12 @@ class FormBundle:
 
 
 def form_bundle(f: MapGerm, point) -> FormBundle:
-    jx, jy, jz = f.jet_at(point, 2)
-    f_u = np.array([j.c[1, 0] for j in (jx, jy, jz)])
-    f_v = np.array([j.c[0, 1] for j in (jx, jy, jz)])
-    f_uu = np.array([2.0 * j.c[2, 0] for j in (jx, jy, jz)])
-    f_uv = np.array([j.c[1, 1] for j in (jx, jy, jz)])
-    f_vv = np.array([2.0 * j.c[0, 2] for j in (jx, jy, jz)])
+    return form_bundle_from(f.derivatives(point))
+
+
+def form_bundle_from(d: PointDerivatives) -> FormBundle:
+    f_u, f_v = d.grad.T
+    f_uu, f_uv, f_vv = d.hess[:, 0, 0], d.hess[:, 0, 1], d.hess[:, 1, 1]
     normal = np.cross(f_u, f_v)
     L = float(f_uu @ normal)
     M = float(f_uv @ normal)

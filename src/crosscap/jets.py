@@ -226,13 +226,7 @@ class Jet:
         """Value of the stored polynomial at a numeric point (Horner)."""
         if len(point) != self.nvars:
             raise UsageError("point arity mismatch")
-        c = self.c
-        for x in reversed(point):
-            acc = c[..., -1]
-            for i in range(c.shape[-1] - 2, -1, -1):
-                acc = acc * x + c[..., i]
-            c = acc
-        return float(c)
+        return float(horner(self.c, point))
 
     def subs(self, var, value):
         """Substitute a numeric value for one variable; arity drops by one."""
@@ -303,6 +297,17 @@ class Jet:
         return Jet(self.nvars, self.order, c, _trusted=True)
 
 
+def horner(c, point):
+    """Evaluate the trailing ``len(point)`` axes of a coefficient table at a
+    numeric point; leading axes index a batch of polynomials."""
+    for x in reversed(point):
+        acc = c[..., -1]
+        for i in range(c.shape[-1] - 2, -1, -1):
+            acc = acc * x + c[..., i]
+        c = acc
+    return c
+
+
 def _compose_rec(c, inners, depth):
     """Nested Horner over the coefficient cube; scalars stay scalars."""
     if depth == len(inners):
@@ -347,10 +352,6 @@ def jet_sqrt(a: Jet) -> Jet:
     for _ in range(_newton_steps(a.order)):
         y = y * (1.5 - 0.5 * a * y * y)
     return a * y
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    return a * jet_recip(b)
 
 
 # -- implicit and inverse solves ----------------------------------------------

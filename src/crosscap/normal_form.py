@@ -30,11 +30,11 @@ from .germs import (
     MapGerm,
     Mul,
     Num,
+    PointDerivatives,
     Pow,
     Var,
-    admissibility_check,
+    admissibility_from_jets,
     eval_jet,
-    null_vector,
     substitute,
     uses_variable,
 )
@@ -197,17 +197,19 @@ def _apply_matrix(T, jets):
 
 def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     """Reduce an admissible deformation to the normal form."""
-    report = admissibility_check(f, order)
+    if f.kind != "deformation":
+        raise UsageError("reduce needs a deformation")
+    jets = f.jet_at((0.0, 0.0, 0.0), order)
+    report = admissibility_from_jets(jets)
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
         raise DegeneracyError(f"deformation is not admissible: {names} failed")
 
-    jets = list(f.jet_at((0.0, 0.0, 0.0), order))
     u3, v3, s3 = Jet.coordinates(3, order)
     steps = []
 
     # source linear change: kernel of df_0 becomes the v-direction
-    n = null_vector(f, (0.0, 0.0, 0.0))
+    n = PointDerivatives.from_jets(jets).null_vector()
     t = np.array([n[1], -n[0]])
     lin = np.column_stack([t, n])
     inner_u = float(t[0]) * u3 + float(n[0]) * v3
@@ -216,7 +218,7 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     steps.append(("source_linear", lin))
 
     # rotate the image line onto the x-axis
-    w = np.array([j.c[1, 0, 0] for j in jets])
+    w = PointDerivatives.from_jets(jets).grad[:, 0]
     T1 = rotation_to_e1(w)
     jets = _apply_matrix(T1, jets)
 
@@ -226,9 +228,9 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     jets = [u3, jets[1].compose(first_inverse), jets[2].compose(first_inverse)]
     steps.append(("source_straighten_u", P))
 
-    # rotate about the x-axis: the v^2 part moves entirely into component 2
-    cyy = jets[1].c[0, 2, 0]
-    czz = jets[2].c[0, 2, 0]
+    # rotate about the x-axis: the v^2 part (f_vv / 2) moves entirely into
+    # component 2
+    cyy, czz = 0.5 * PointDerivatives.from_jets(jets).hess[1:, 1, 1]
     r = math.hypot(cyy, czz)
     if r <= CLASS_TOL:
         raise DegeneracyError(
@@ -509,12 +511,7 @@ def _validate_diffeo(diffeo):
     origin = max(abs(j.c[0, 0, 0]) for j in jets)
     if origin > 1e-12:
         raise UsageError("diffeo must fix the origin")
-    d_uv = np.array(
-        [
-            [jets[0].c[1, 0, 0], jets[0].c[0, 1, 0]],
-            [jets[1].c[1, 0, 0], jets[1].c[0, 1, 0]],
-        ]
-    )
+    d_uv = PointDerivatives.from_jets(jets).grad[:2]
     ds = jets[2].c[0, 0, 1]
     if ds <= 0.0:
         raise UsageError("diffeo must preserve the parameter orientation")

@@ -56,10 +56,6 @@ def to_json(obj, indent=0) -> str:
     raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def write_json(path, obj):
-    path.write_text(to_json(obj) + "\n", encoding="utf-8")
-
-
 def trace_csv(table) -> str:
     lines = [",".join(table.COLUMNS)]
     for row in table.rows:

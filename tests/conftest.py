@@ -47,3 +47,17 @@ def compose_poly_1var(table, alphas, order):
             total[: len(term)] += table[i, j] * term
         upow = P.polymul(upow, u)
     return total
+
+
+@pytest.fixture
+def jet_at_orders(monkeypatch):
+    """Orders of every MapGerm.jet_at call made while the test runs."""
+    orders = []
+    original = MapGerm.jet_at
+
+    def counted(self, point, order):
+        orders.append(order)
+        return original(self, point, order)
+
+    monkeypatch.setattr(MapGerm, "jet_at", counted)
+    return orders

@@ -53,6 +53,34 @@ def test_analyze_regular_point(capsys):
     assert "invariants" not in rep
 
 
+def test_analyze_expands_the_point_once(capsys, jet_at_orders):
+    code, out = run(capsys, "analyze", "--germ", "u; u*v; v^2", "--point", "0,0")
+    assert code == 0
+    assert last_json(out)["whitney_umbrella"] is True
+    assert jet_at_orders == [2]
+
+
+@pytest.mark.parametrize("option", [("--s", "nan"), ("--point", "nan,0")])
+def test_analyze_non_finite_input_is_domain_error(capsys, option):
+    code, out = run(capsys, "analyze", "--germ", MODEL_S1_PLUS, *option)
+    assert code == 3
+    assert last_json(out)["error"]["type"] == "math-domain"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mesh", "--germ", MODEL_S1_PLUS, "--u-range", "-1:1"],
+        ["analyze", "--germ", MODEL_S1_PLUS, "--order", "eight"],
+        ["no-such-command"],
+    ],
+)
+def test_argument_errors_are_json_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "usage"
+
+
 def test_analyze_bad_germ_usage_error(capsys):
     code, out = run(capsys, "analyze", "--germ", "u; v")
     assert code == 2

@@ -13,7 +13,7 @@ from crosscap.deformation import (
     trajectory_geometry,
 )
 from crosscap.errors import DomainError, UsageError
-from crosscap.germs import MapGerm
+from crosscap.germs import MapGerm, PointDerivatives
 from crosscap.invariants import form_bundle
 from crosscap.normal_form import normalize_parameter, reduce, scalar_coefficients
 
@@ -205,19 +205,44 @@ def test_gauss_probe_pointwise_signs():
 
 def test_gauss_probe_reports(s1_plus):
     for text in (F_PLUS, F_MINUS):
-        f = MapGerm.parse(text)
-        cs = scalar_coefficients(normalize_parameter(reduce(f)))
-        rep = gauss_sign_probe(f, cs, 0.05, search_s0=True)
+        nf = normalize_parameter(reduce(MapGerm.parse(text)))
+        rep = gauss_sign_probe(nf, 0.05, search_s0=True)
         assert rep.agreement == 1.0
         assert rep.s_tilde_max_agree is not None
         # full agreement persists at half the reported threshold
         rep_half = gauss_sign_probe(
-            f, cs, rep.s_tilde_max_agree / 2, search_s0=False
+            nf, rep.s_tilde_max_agree / 2, search_s0=False
         )
         assert rep_half.agreement == 1.0
-    cs0 = scalar_coefficients(normalize_parameter(reduce(s1_plus)))
+    nf0 = normalize_parameter(reduce(s1_plus))
     with pytest.raises(DomainError):
-        gauss_sign_probe(s1_plus, cs0, 0.05)  # f31(0) = 0
+        gauss_sign_probe(nf0, 0.05)  # f31(0) = 0
+
+
+def test_derivative_constructors_agree_at_probe_samples():
+    """F_PLUS and F_MINUS are their own normal forms, so the normal-form
+    jets and the germ's own expansion must give the same derivatives at
+    every sample point of the probe (whose radius factor R is 1 here)."""
+    for text in (F_PLUS, F_MINUS):
+        f = MapGerm.parse(text)
+        nf = normalize_parameter(reduce(f))
+        comps = nf.components()
+        for st in (0.025, 0.05, 0.1):
+            s = -(st**2)
+            frozen = f.at_parameter(s)
+            u_st = gauss_sign_probe(nf, st, search_s0=False).u_of_st
+            for theta in default_theta_grid():
+                for frac in default_k_grid():
+                    x, y = frac * u_st * np.cos(theta), frac * u_st * np.sin(theta)
+                    got = PointDerivatives.from_polynomials(comps, (x, y, s))
+                    want = frozen.derivatives((x, y))
+                    for a, b in ((got.grad, want.grad), (got.hess, want.hess)):
+                        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_gauss_probe_needs_normalized_parameter():
+    with pytest.raises(UsageError):
+        gauss_sign_probe(reduce(MapGerm.parse(F_PLUS)), 0.05)
 
 
 def test_default_grids():

@@ -28,6 +28,11 @@ def pipeline(f, order=8):
 # -- fixed points of the reduction ----------------------------------------------
 
 
+def test_reduce_expands_the_germ_once(s1_plus, jet_at_orders):
+    reduce(s1_plus)
+    assert jet_at_orders == [8]
+
+
 def test_s1_plus_is_its_own_normal_form(s1_plus):
     nf = reduce(s1_plus)
     assert np.allclose(nf.rotation, np.eye(3), atol=1e-12)
