@@ -95,28 +95,31 @@ def _check_order(order):
         raise UsageError(f"jet order must be in [4, 12], got {order}")
 
 
+def _parse_numbers(text, sep, types, form):
+    parts = text.split(sep)
+    try:
+        if len(parts) == len(types):
+            return [t(part) for t, part in zip(types, parts)]
+    except ValueError:
+        pass
+    raise UsageError(f"{form}, got {text!r}")
+
+
 def _parse_point(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"point must be 'u,v', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return tuple(_parse_numbers(text, ",", (float, float), "point must be 'u,v'"))
 
 
 def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"grid must be 'start:ratio:count', got {text!r}")
-    start, ratio, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or start <= 0 or ratio <= 1.0:
+    start, ratio, count = _parse_numbers(
+        text, ":", (float, float, int), "grid must be 'start:ratio:count'"
+    )
+    if not (count >= 1 and start > 0 and ratio > 1.0):  # rejects nan too
         raise UsageError("grid needs start > 0, ratio > 1 and count >= 1")
     return [start * ratio**-j for j in range(count)]
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"range must be 'a:b', got {text!r}")
-    a, b = float(parts[0]), float(parts[1])
+    a, b = _parse_numbers(text, ":", (float, float), "range must be 'a:b'")
     if not b > a:
         raise UsageError("range needs b > a")
     return (a, b)

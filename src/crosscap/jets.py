@@ -5,9 +5,13 @@ base point, indexed by multi-index up to a fixed total degree ``order``.
 All operations truncate at that order and never extend it, so the ring
 laws hold coefficientwise up to floating-point rounding.
 
-Coefficients live in a dense cube ``c[i, j, k]`` (dummy trailing axes for
-jets in one or two variables); the hot truncated product is delegated to a
-compiled kernel with a pure-numpy fallback, selected at import time.
+Coefficients live in a dense cube ``c[i, j, k]`` with one axis per
+variable (one, two or three); cells above total degree ``order`` stay
+zero.  The truncated product, the kernel under composition and every
+Newton solve, is one numpy reduction over a cached table of the cell
+pairs whose degrees sum to at most ``order`` (the index-table form of
+truncated Taylor arithmetic, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).
 """
 
 from __future__ import annotations
@@ -20,41 +24,41 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError, UsageError
 
-try:
-    from . import _kernel as _backend
-
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # extension not built; numpy fallback
-    from . import _kernel_py as _backend
-
-    KERNEL_BACKEND = "python"
+# Recorded in benchmark environment blocks; numpy is the only kernel.
+KERNEL_BACKEND = "python"
 
 
-def use_backend(name):
-    """Swap the multiplication kernel ("compiled" or "python") at runtime.
-
-    Intended for benchmarks and backend-parity tests.
-    """
-    global _backend, KERNEL_BACKEND
-    if name == "compiled":
-        from . import _kernel as _backend  # noqa: F811
-    elif name == "python":
-        from . import _kernel_py as _backend  # noqa: F811
-    else:
-        raise UsageError(f"unknown kernel backend {name!r}")
-    KERNEL_BACKEND = name
+@lru_cache(maxsize=None)
+def _degrees(shape):
+    """Total degree of every cell of a coefficient cube, flattened."""
+    deg = np.indices(shape).sum(axis=0).ravel()
+    deg.setflags(write=False)
+    return deg
 
 
 @lru_cache(maxsize=None)
 def _degree_mask(shape, order):
-    deg = np.zeros(shape, dtype=np.int64)
-    for axis, n in enumerate(shape):
-        idx = [None] * len(shape)
-        idx[axis] = slice(None)
-        deg = deg + np.arange(n)[tuple(idx)]
-    mask = (deg <= order).astype(float)
+    mask = (_degrees(shape) <= order).astype(float).reshape(shape)
     mask.setflags(write=False)
     return mask
+
+
+@lru_cache(maxsize=None)
+def _product_table(shape, order):
+    """Flat cell pairs ``(p, q)`` with deg p + deg q <= order and the cell
+    ``k`` of their product, ordered by p then q.  Order 8 in three
+    variables has 3003 pairs."""
+    deg = _degrees(shape)
+    cells = np.flatnonzero(deg <= order)
+    p, q = (x.ravel() for x in np.meshgrid(cells, cells, indexing="ij"))
+    keep = deg[p] + deg[q] <= order
+    p, q = p[keep], q[keep]
+    k = np.ravel_multi_index(
+        np.add(np.unravel_index(p, shape), np.unravel_index(q, shape)), shape
+    )
+    for table in (p, q, k):
+        table.setflags(write=False)
+    return p, q, k
 
 
 class Jet:
@@ -139,15 +143,10 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.nvars, self.order, self.c * float(other), _trusted=True)
         self._check_compatible(other)
-        shape3 = self.c.shape + (1,) * (3 - self.nvars)
-        out = np.zeros(shape3)
-        _backend.mul_trunc(
-            np.ascontiguousarray(self.c.reshape(shape3)),
-            np.ascontiguousarray(other.c.reshape(shape3)),
-            out,
-            self.order,
-        )
-        return Jet(self.nvars, self.order, out.reshape(self.c.shape), _trusted=True)
+        a = self.c
+        p, q, k = _product_table(a.shape, self.order)
+        prod = np.bincount(k, weights=a.take(p) * other.c.take(q), minlength=a.size)
+        return Jet(self.nvars, self.order, prod.reshape(a.shape), _trusted=True)
 
     def __rmul__(self, other):
         return self * other

@@ -73,6 +73,11 @@ def test_analyze_non_finite_input_is_domain_error(capsys, option):
         ["mesh", "--germ", MODEL_S1_PLUS, "--u-range", "-1:1"],
         ["analyze", "--germ", MODEL_S1_PLUS, "--order", "eight"],
         ["no-such-command"],
+        ["analyze", "--germ", MODEL_S1_PLUS, "--point", "abc,0"],
+        ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "0.1:x:3"],
+        ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "0.1:2:3.5"],
+        ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "nan:2:3"],
+        ["mesh", "--germ", MODEL_S1_PLUS, "--u-range=a:1"],
     ],
 )
 def test_argument_errors_are_json_usage_errors(capsys, argv):
