@@ -52,10 +52,9 @@ from .jets import (
     Jet,
     branch_solve,
     implicit_solve,
-    invert_series,
+    invert_coordinate,
     jet_recip,
     jet_sqrt,
-    map_invert,
 )
 from .normal_form import (
     Classification,

@@ -86,7 +86,10 @@ def build_parser():
 def _load_germ(args) -> MapGerm:
     if args.germ is not None:
         return MapGerm.parse(args.germ)
-    text = Path(args.file).read_text(encoding="utf-8")
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read germ file {args.file!r}: {exc}") from None
     return MapGerm.parse(text)
 
 
@@ -129,7 +132,10 @@ def _outdir(args):
     if args.out is None:
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {args.out!r}: {exc}") from None
     return path
 
 
@@ -397,9 +403,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(to_json({"error": {"type": "internal-consistency", "message": str(exc)}}))
         return 4
-    except FileNotFoundError as exc:
-        print(to_json({"error": {"type": "usage", "message": str(exc)}}))
-        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .invariants import (
     invariants_from_frame,
     is_cross_cap,
 )
-from .jets import Jet, branch_solve
+from .jets import Jet, branch_solve, jet_recip, jet_sqrt
 from .normal_form import (
     CLASS_TOL,
     CoefficientSet,
@@ -90,6 +90,8 @@ def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
 
 def _real_roots(coeffs, radius):
     c = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("non-finite coefficient in the singular-locus polynomial")
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return []
@@ -484,8 +486,6 @@ def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
         dg[2] * ddg[0] - dg[0] * ddg[2],
         dg[0] * ddg[1] - dg[1] * ddg[0],
     ]
-    from .jets import jet_recip, jet_sqrt
-
     num = cross_jet[0] * cross_jet[0] + cross_jet[1] * cross_jet[1] + cross_jet[2] * cross_jet[2]
     den = dg[0] * dg[0] + dg[1] * dg[1] + dg[2] * dg[2]
     kappa_jet = jet_sqrt(num * jet_recip(den * den * den))

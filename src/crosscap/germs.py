@@ -127,12 +127,17 @@ def _strip_comments(source):
     return re.sub(r"#[^\n]*", "", source)
 
 
+MAX_NESTING = 100  # parentheses, sqrt( and unary signs; bounds the parser's recursion
+MAX_DEPTH = 250  # expression-tree depth; bounds the recursion of every tree walk
+
+
 class _Parser:
     """Recursive-descent parser for one expression (a token slice)."""
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -158,6 +163,15 @@ class _Parser:
             raise UsageError(
                 f"trailing input {tok.text!r} at line {tok.line}, col {tok.col}"
             )
+        depth, level = 0, [node]
+        while level:  # breadth first, so a deep tree cannot overflow the stack
+            depth += 1
+            level = [child for n in level for child in _children(n)]
+        if depth > MAX_DEPTH:
+            raise UsageError(
+                f"expression tree is {depth} levels deep (limit {MAX_DEPTH}); "
+                "group long sums or products with parentheses"
+            )
         return node
 
     def _expr(self):
@@ -177,12 +191,18 @@ class _Parser:
         return node
 
     def _factor(self):
+        if self.depth == MAX_NESTING:
+            raise UsageError(f"expression nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
         tok = self._peek()
         if tok and tok.kind == "op" and tok.text in "+-":
             self._next()
             arg = self._factor()
-            return arg if tok.text == "+" else Neg(arg)
-        return self._power()
+            node = arg if tok.text == "+" else Neg(arg)
+        else:
+            node = self._power()
+        self.depth -= 1
+        return node
 
     def _power(self):
         base = self._atom()
@@ -312,7 +332,10 @@ def eval_number(node, env) -> float:
         base = eval_number(node.base, env)
         if node.exponent < 0 and base == 0.0:
             raise DomainError("zero raised to a negative power")
-        return base ** node.exponent
+        try:
+            return base ** node.exponent
+        except OverflowError:
+            raise DomainError(f"{base:.3e}^{node.exponent} overflows") from None
     if isinstance(node, Sqrt):
         arg = eval_number(node.arg, env)
         if arg < 0.0:
@@ -359,43 +382,36 @@ def _jet_pow(base, exponent):
     return result
 
 
-def substitute(node, name, replacement) -> Expr:
-    """Replace every occurrence of variable ``name`` by an expression."""
+def substitute(node, mapping) -> Expr:
+    """Replace the variables named in ``mapping`` by their expressions, all
+    in one pass (replacements are not substituted into again)."""
     if isinstance(node, Var):
-        return replacement if node.name == name else node
-    if isinstance(node, (Num,)):
+        return mapping.get(node.name, node)
+    if isinstance(node, Num):
         return node
-    if isinstance(node, Add):
-        return Add(substitute(node.left, name, replacement), substitute(node.right, name, replacement))
-    if isinstance(node, Sub):
-        return Sub(substitute(node.left, name, replacement), substitute(node.right, name, replacement))
-    if isinstance(node, Mul):
-        return Mul(substitute(node.left, name, replacement), substitute(node.right, name, replacement))
-    if isinstance(node, Div):
-        return Div(substitute(node.left, name, replacement), substitute(node.right, name, replacement))
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, name, replacement))
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return type(node)(substitute(node.left, mapping), substitute(node.right, mapping))
+    if isinstance(node, (Neg, Sqrt)):
+        return type(node)(substitute(node.arg, mapping))
     if isinstance(node, Pow):
-        return Pow(substitute(node.base, name, replacement), node.exponent)
-    if isinstance(node, Sqrt):
-        return Sqrt(substitute(node.arg, name, replacement))
+        return Pow(substitute(node.base, mapping), node.exponent)
     raise UsageError(f"cannot substitute into node {node!r}")
+
+
+def _children(node):
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Sqrt)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
 
 
 def uses_variable(node, name) -> bool:
     if isinstance(node, Var):
         return node.name == name
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return uses_variable(node.left, name) or uses_variable(node.right, name)
-    if isinstance(node, Neg):
-        return uses_variable(node.arg, name)
-    if isinstance(node, Pow):
-        return uses_variable(node.base, name)
-    if isinstance(node, Sqrt):
-        return uses_variable(node.arg, name)
-    return False
+    return any(uses_variable(child, name) for child in _children(node))
 
 
 # -- map germs -------------------------------------------------------------------
@@ -438,7 +454,10 @@ class MapGerm:
         env = dict(zip(_VARS[: self.nvars], map(float, point)))
         if len(point) != self.nvars:
             raise UsageError(f"point arity {len(point)} != {self.nvars}")
-        return np.array([eval_number(e, env) for e in self.components])
+        values = np.array([eval_number(e, env) for e in self.components])
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"non-finite germ value at {[float(x) for x in point]}")
+        return values
 
     def jet_at(self, point, order) -> tuple:
         """Taylor jets of the three components about ``point``."""
@@ -458,13 +477,8 @@ class MapGerm:
         """Freeze the deformation parameter; the result is a plain germ."""
         if self.kind != "deformation":
             raise UsageError("at_parameter needs a deformation")
-        sub = Num(float(s0))
-        return MapGerm(
-            substitute(self.x, "s", sub),
-            substitute(self.y, "s", sub),
-            substitute(self.z, "s", sub),
-            kind="germ",
-        )
+        sub = {"s": Num(float(s0))}
+        return MapGerm(*(substitute(e, sub) for e in self.components), kind="germ")
 
 
 def parse_germ_source(text):

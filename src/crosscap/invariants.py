@@ -304,6 +304,8 @@ def _classify_conic(M, b, c):
     Q[2, :2] = b / 2.0
     Q[2, 2] = c
     scale = float(np.sum(Q * Q)) + 1e-300
+    if not scale < 1e200:  # scale**1.5 below must stay a finite float
+        raise DomainError(f"focal conic entries too large to classify ({scale:.3e})")
     dM = float(np.linalg.det(M))
     dQ = float(np.linalg.det(Q))
     small_dM = abs(dM) <= CONIC_TOL * scale

@@ -231,10 +231,7 @@ class Jet:
         """Substitute a numeric value for one variable; arity drops by one."""
         if self.nvars == 1:
             raise UsageError("cannot drop the last variable; use eval")
-        c = np.moveaxis(self.c, var, -1)
-        acc = c[..., -1].copy()
-        for i in range(c.shape[-1] - 2, -1, -1):
-            acc = acc * value + c[..., i]
+        acc = horner(np.moveaxis(self.c, var, -1), (value,))
         return Jet(self.nvars - 1, self.order, acc, _trusted=True)
 
     def restrict(self, var):
@@ -356,11 +353,24 @@ def jet_sqrt(a: Jet) -> Jet:
 # -- implicit and inverse solves ----------------------------------------------
 
 
+def _newton_solve(F, dF, path, slot, W, target=None):
+    """Newton iteration in the series ring for F(path) = target (0 if None),
+    with the unknown W in ``path[slot]`` and dF the partial of F in that slot.
+    Each step doubles the contact order; W(0) stays 0 (the base point)."""
+    for _ in range(_newton_steps(F.order)):
+        path[slot] = W
+        res = F.compose(path)
+        if target is not None:
+            res = res - target
+        W = W - res * jet_recip(dF.compose(path))
+        W.c[(0,) * W.nvars] = 0.0
+    return W
+
+
 def implicit_solve(lam: Jet) -> Jet:
     """Solve lam(u, sigma(u, s), s) = 0 for sigma(u, s) with sigma(0, 0) = 0.
 
-    Requires lam(0) = 0 and a nonzero v-derivative at the base point;
-    Newton iteration in the series ring doubles the contact order per step.
+    Requires lam(0) = 0 and a nonzero v-derivative at the base point.
     """
     if lam.nvars != 3:
         raise UsageError("implicit_solve expects a jet in (u, v, s)")
@@ -369,16 +379,8 @@ def implicit_solve(lam: Jet) -> Jet:
     lv = lam.partial(1)
     if lv.c[0, 0, 0] == 0.0:
         raise DegeneracyError("implicit_solve: d lam/dv vanishes at the base point")
-    order = lam.order
-    u2, s2 = Jet.variable(0, 2, order), Jet.variable(1, 2, order)
-    sigma = Jet.zeros(2, order)
-    for _ in range(_newton_steps(order)):
-        path = [u2, sigma, s2]
-        res = lam.compose(path)
-        dv = lv.compose(path)
-        sigma = sigma - res * jet_recip(dv)
-        sigma.c[0, 0] = 0.0  # the constructed branch passes through 0
-    return sigma
+    u2, s2 = Jet.coordinates(2, lam.order)
+    return _newton_solve(lam, lv, [u2, None, s2], 1, Jet.zeros(2, lam.order))
 
 
 def invert_coordinate(V: Jet, var: int) -> Jet:
@@ -386,6 +388,7 @@ def invert_coordinate(V: Jet, var: int) -> Jet:
     fixing the remaining coordinates.
 
     V must vanish at 0 and have a nonzero derivative in its own variable.
+    With one variable this is the compositional inverse of a series.
     """
     n, order = V.nvars, V.order
     if abs(V.c[(0,) * n]) > 1e-12 * (1.0 + V.max_abs()):
@@ -396,36 +399,7 @@ def invert_coordinate(V: Jet, var: int) -> Jet:
         raise DegeneracyError("invert_coordinate: unit derivative required at 0")
     coords = Jet.coordinates(n, order)
     xv = coords[var]
-    W = xv * (1.0 / d0)
-    for _ in range(_newton_steps(order)):
-        path = list(coords)
-        path[var] = W
-        res = V.compose(path) - xv
-        dv = dV.compose(path)
-        W = W - res * jet_recip(dv)
-        W.c[(0,) * n] = 0.0  # the inverse fixes the base point
-    return W
-
-
-def map_invert(phi):
-    """Invert a source change (u, V(u,v,s), s); returns (u, W, s) with both
-    compositions the identity to the jet order."""
-    jx, V, js = phi
-    if jx.nvars != 3 or V.nvars != 3 or js.nvars != 3:
-        raise UsageError("map_invert expects three jets in (u, v, s)")
-    order = V.order
-    u3, v3, s3 = Jet.coordinates(3, order)
-    if np.max(np.abs(jx.c - u3.c)) > 0.0 or np.max(np.abs(js.c - s3.c)) > 0.0:
-        raise UsageError("map_invert expects identity first and third components")
-    W = invert_coordinate(V, 1)
-    return (u3, W, s3)
-
-
-def invert_series(h: Jet) -> Jet:
-    """Compositional inverse of a one-variable jet with h(0)=0, h'(0) != 0."""
-    if h.nvars != 1:
-        raise UsageError("invert_series expects a one-variable jet")
-    return invert_coordinate(h, 0)
+    return _newton_solve(V, dV, list(coords), var, xv * (1.0 / d0), target=xv)
 
 
 # -- quadratic branch solve -----------------------------------------------------

@@ -19,7 +19,7 @@ components into the six coefficient series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ from .germs import (
     substitute,
     uses_variable,
 )
-from .jets import (
-    Jet,
-    implicit_solve,
-    invert_coordinate,
-    invert_series,
-    jet_sqrt,
-    map_invert,
-)
+from .jets import Jet, implicit_solve, invert_coordinate, jet_sqrt
 
 SPLIT_TOL = 1e-10  # Hadamard-division remainders above this signal bad input
 CLASS_TOL = 1e-9  # classification / degeneracy threshold on the discriminant
@@ -112,24 +105,7 @@ class CoefficientSet:
     df33_ds: float
 
     def as_dict(self):
-        return {
-            "f21_0": self.f21_0,
-            "f21_u": self.f21_u,
-            "f31_0": self.f31_0,
-            "f31_u": self.f31_u,
-            "f24_00": self.f24_00,
-            "f34_00": self.f34_00,
-            "c1_0": self.c1_0,
-            "c2_0": self.c2_0,
-            "c20": self.c20,
-            "c2_s0": self.c2_s0,
-            "c3_0": self.c3_0,
-            "c4_00": self.c4_00,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-            "df33_ds": self.df33_ds,
-        }
+        return asdict(self)
 
     def as_vector(self):
         return np.array(list(self.as_dict().values()))
@@ -248,7 +224,7 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
 
     # rescale v so that f2 = f2(u, 0, s) + v^2 exactly
     g = (jets[1] - jets[1].restrict(1)).divide_monomial((0, 2, 0), SPLIT_TOL)
-    _, W, _ = map_invert((u3, v3 * jet_sqrt(g), s3))
+    W = invert_coordinate(v3 * jet_sqrt(g), 1)
     rescale = [u3, W, s3]
     jets = [u3, jets[1].compose(rescale), jets[2].compose(rescale)]
     steps.append(("source_rescale_v", W))
@@ -334,7 +310,7 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
         raise GenericityError(
             "cannot normalize the deformation parameter: d f33/ds (0,0) = 0"
         )
-    hinv = invert_series(h)
+    hinv = invert_coordinate(h, 0)
     u3, v3, s3 = Jet.coordinates(3, order)
     sub = [u3, v3, hinv.embed(3, (2,))]
     _, jy, jz = nf.components()
@@ -476,7 +452,7 @@ def apply_equivalence(f: MapGerm, diffeo: DiffeoSpec, rotation) -> MapGerm:
         "v": diffeo.comp_v,
         "s": diffeo.comp_s,
     }
-    composed = [_substitute_many(comp, mapping) for comp in f.components]
+    composed = [substitute(comp, mapping) for comp in f.components]
     out = []
     for i in range(3):
         terms = [
@@ -492,16 +468,6 @@ def apply_equivalence(f: MapGerm, diffeo: DiffeoSpec, rotation) -> MapGerm:
             node = Add(node, term)
         out.append(node)
     return MapGerm(out[0], out[1], out[2], kind="deformation")
-
-
-def _substitute_many(node, mapping):
-    """Simultaneous substitution of all three variables."""
-    placeholder = {name: Var("_" + name) for name in mapping}
-    for name, ph in placeholder.items():
-        node = substitute(node, name, ph)
-    for name, ph in placeholder.items():
-        node = substitute(node, ph.name, mapping[name])
-    return node
 
 
 def _validate_diffeo(diffeo):

@@ -60,11 +60,31 @@ def test_analyze_expands_the_point_once(capsys, jet_at_orders):
     assert jet_at_orders == [2]
 
 
-@pytest.mark.parametrize("option", [("--s", "nan"), ("--point", "nan,0")])
-def test_analyze_non_finite_input_is_domain_error(capsys, option):
-    code, out = run(capsys, "analyze", "--germ", MODEL_S1_PLUS, *option)
+GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("analyze", "--germ", MODEL_S1_PLUS, "--s", "nan"),
+        ("analyze", "--germ", MODEL_S1_PLUS, "--point", "nan,0"),
+        ("focal", "--germ", MODEL_S1_PLUS, "--s", "nan"),
+        ("focal", "--germ", MODEL_S1_PLUS, "--s", "inf"),
+        ("focal", "--germ", MODEL_S1_PLUS, "--s=-inf"),
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "nan"),
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "inf"),
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde=-inf"),
+        ("mesh", "--germ", MODEL_S1_PLUS, "--s", "nan", "--nu", "2", "--nv", "2"),
+        ("mesh", "--germ", MODEL_S1_PLUS, "--s", "inf", "--nu", "2", "--nv", "2"),
+        ("mesh", "--germ", MODEL_S1_PLUS, "--s=-inf", "--nu", "2", "--nv", "2"),
+        ("mesh", "--germ", "u; v; u^9999", "--u-range=-2:2", "--nu", "2", "--nv", "2"),
+    ],
+)
+def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):
+    code, out = run(capsys, *option, "--out", str(tmp_path))
     assert code == 3
     assert last_json(out)["error"]["type"] == "math-domain"
+    assert list(tmp_path.iterdir()) == []  # e.g. no mesh.obj with non-finite vertices
 
 
 @pytest.mark.parametrize(
@@ -78,6 +98,11 @@ def test_analyze_non_finite_input_is_domain_error(capsys, option):
         ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "0.1:2:3.5"],
         ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "nan:2:3"],
         ["mesh", "--germ", MODEL_S1_PLUS, "--u-range=a:1"],
+        ["analyze", "--file", "/"],
+        ["analyze", "--germ", "u; v^2; " + "(" * 5000 + "u" + ")" * 5000],
+        ["analyze", "--germ", "u; v^2; " + "-" * 5000 + "u"],
+        ["analyze", "--germ", "u; v^2; " + "sqrt(" * 300 + "1 + u" + ")" * 300],
+        ["analyze", "--germ", "u; v^2; " + " + ".join(["u"] * 2000)],
     ],
 )
 def test_argument_errors_are_json_usage_errors(capsys, argv):
@@ -98,6 +123,20 @@ def test_germ_file_input(capsys, tmp_path):
     code, out = run(capsys, "analyze", "--file", str(src), "--point", "0,0")
     assert code == 0
     assert last_json(out)["deformation"]["classification"] == "S1Plus"
+
+
+def test_unreadable_paths_are_usage_errors(capsys, tmp_path):
+    src = tmp_path / "germ.txt"
+    src.write_bytes(b"\xff\xfeu; v^2; v*(u^2 + v^2) + s*v\n")
+    code, out = run(capsys, "analyze", "--file", str(src))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "usage"
+    code, out = run(capsys, "analyze", "--file", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "usage"
+    code, out = run(capsys, "focal", "--germ", EX4, "--s", "-1", "--out", str(src))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "usage"
 
 
 def test_order_range_enforced(capsys):

@@ -3,14 +3,18 @@ import pytest
 
 from crosscap.errors import DomainError, UsageError
 from crosscap.germs import (
+    MAX_DEPTH,
+    MAX_NESTING,
     MODEL_CROSS_CAP,
     MODEL_S1_PLUS,
     MapGerm,
+    Var,
     admissibility_check,
     null_vector,
     parse_expr,
     print_expr,
     rank_at,
+    substitute,
 )
 from crosscap.jets import Jet, jet_sqrt
 
@@ -63,6 +67,27 @@ def test_parse_errors_carry_location():
         MapGerm.parse("u; v^2")
     with pytest.raises(UsageError, match="integer literal"):
         parse_expr("u^v")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_NESTING + "u" + ")" * MAX_NESTING,
+        "- " * MAX_NESTING + "u",
+        "-" * MAX_NESTING,
+        "*".join(["u"] * (MAX_DEPTH + 1)),
+    ],
+)
+def test_deep_nesting_is_a_usage_error(text):
+    with pytest.raises(UsageError, match="deep"):
+        parse_expr(text)
+
+
+def test_nesting_below_the_limits_parses():
+    depth = MAX_NESTING - 1
+    node = parse_expr("sqrt(" * depth + "1 + u" + ")" * depth)
+    assert print_expr(node).count("sqrt(") == depth
+    assert parse_expr(" + ".join(["u"] * MAX_DEPTH)) is not None
 
 
 def test_germ_cannot_reference_parameter():
@@ -128,6 +153,16 @@ def test_evaluate_domain_errors():
         f.evaluate((-1.0, 1.0))
     with pytest.raises(DomainError):
         f.evaluate((1.0, 0.0))
+    with pytest.raises(DomainError, match="overflows"):
+        MapGerm.parse("u; v; u^9999").evaluate((2.0, 0.0))
+    with pytest.raises(DomainError, match="non-finite"):
+        MapGerm.parse("u; v; 1e308*u").evaluate((10.0, 0.0))
+
+
+def test_substitute_is_simultaneous():
+    swapped = substitute(parse_expr("u - v"), {"u": Var("v"), "v": Var("u")})
+    assert swapped == parse_expr("v - u")
+    assert print_expr(swapped) == "v - u"
 
 
 def test_at_parameter():
