@@ -16,7 +16,7 @@ from . import deformation as da
 from . import invariants as pi
 from . import normal_form as nfm
 from .errors import ConsistencyError, DomainError, GenericityError, UsageError
-from .germs import MapGerm, PointDerivatives
+from .germs import MapGerm
 from .reports import conic_svg, mesh_k_signs, mesh_obj, to_json, trace_csv
 
 
@@ -311,7 +311,7 @@ def cmd_focal(args):
             umb = [r for r in records if r.cls == "umbrella" and r.point[0] > 0]
             record = umb[0] if umb else records[0]
             point = record.point
-        d = PointDerivatives.from_polynomials(nf.components(), (*point, args.s))
+        d = nf.derivatives((*point, args.s))
         report["s"] = args.s
         report["coordinates"] = "normal-form source"
     else:

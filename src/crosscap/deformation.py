@@ -6,8 +6,7 @@ singular-point trajectory.
 
 Throughout, s = -st^2 with st >= 0, and u(st) denotes the positive branch
 of the singular locus of the reduced germ.  Pointwise data at a source
-point (u, v, s) of the reduced germ comes from the assembled normal-form
-jets through ``PointDerivatives.from_polynomials``.
+point (u, v, s) of the reduced germ comes from ``NormalFormData.derivatives``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, DomainError, UsageError
-from .germs import MapGerm, PointDerivatives
+from .germs import MapGerm
 from .invariants import (
     UmbrellaInvariants,
     focal_conic_from_frame,
@@ -56,16 +55,14 @@ class SingularPointRecord:
     residual: float
 
 
-def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
+def singular_locus(nf: NormalFormData, s: float):
     """Singular points of the reduced germ at fixed parameter: v = 0 and
-    f33(u, s) = 0, classified pointwise."""
+    f33(u, s) = 0 with |u| <= 1, classified pointwise."""
     if abs(nf.f33.c[2, 0]) <= CLASS_TOL:
         raise DegeneracyError(
             "singular_locus needs c2(0) != 0; this degeneracy is unsupported"
         )
-    comps = nf.components()
-    poly = nf.f33.subs(1, s).c
-    roots = _real_roots(poly, radius)
+    poly, roots = _locus_roots(nf, s)
     st = math.sqrt(-s) if s <= 0 else float("nan")
     records = []
     for u0 in roots:
@@ -75,7 +72,7 @@ def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
                 f"root u = {u0:.6g} of the singular locus leaves residual "
                 f"{residual:.3e}"
             )
-        frame = frame_at(PointDerivatives.from_polynomials(comps, (u0, 0.0, s)))
+        frame = frame_at(nf.derivatives((u0, 0.0, s)))
         kind = focal_conic_from_frame(frame).kind
         if is_cross_cap(frame):
             _, inv = invariants_from_frame(frame)
@@ -88,19 +85,22 @@ def singular_locus(nf: NormalFormData, s: float, radius: float = 1.0):
     return records
 
 
-def _real_roots(coeffs, radius):
-    c = np.asarray(coeffs, dtype=float)
-    if not np.all(np.isfinite(c)):
+def _locus_roots(nf: NormalFormData, s: float):
+    """Coefficients in u of the slice f33(u, s) and its real roots in
+    |u| <= 1.  A non-finite s, or a slice that overflows, is a DomainError."""
+    if not math.isfinite(s):
+        raise DomainError(f"non-finite parameter value s = {s}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = nf.f33.subs(1, s).c
+    if not np.all(np.isfinite(poly)):
         raise DomainError("non-finite coefficient in the singular-locus polynomial")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return []
-    top = len(c) - 1
-    while top > 0 and abs(c[top]) <= 1e-13 * scale:
+    scale = np.max(np.abs(poly))
+    top = len(poly) - 1
+    while top > 0 and abs(poly[top]) <= 1e-13 * scale:
         top -= 1
-    c = c[: top + 1]
     if top == 0:
-        return []
+        return poly, []
+    c = poly[: top + 1]
     raw = np.roots(c[::-1])
     real = [float(r.real) for r in raw if abs(r.imag) <= ROOT_IMAG_TOL * (1 + abs(r))]
     deriv = np.polynomial.polynomial.polyder(c)
@@ -112,7 +112,7 @@ def _real_roots(coeffs, radius):
             if dfx == 0.0:
                 break
             x -= np.polynomial.polynomial.polyval(x, c) / dfx
-        if abs(x) <= radius:
+        if abs(x) <= 1.0:
             polished.append(x)
     polished.sort()
     out = []
@@ -120,7 +120,7 @@ def _real_roots(coeffs, radius):
         if out and abs(x - out[-1]) <= 1e-7:
             continue
         out.append(x)
-    return out
+    return poly, out
 
 
 # -- locus expansion ---------------------------------------------------------------
@@ -219,17 +219,16 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     """
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
-    comps = nf.components()
     rows = []
     for st in s_tilde_grid:
         s = -st * st
-        roots = _real_roots(nf.f33.subs(1, s).c, radius=1.0)
+        _, roots = _locus_roots(nf, s)
         if not roots:
             continue
         alpha1 = 1.0 / cs.c20 if cs.c2_0 > 0 else 0.0
         u_plus = min(roots, key=lambda r: abs(r - alpha1 * st))
         u_minus = min(roots, key=lambda r: abs(r + alpha1 * st))
-        frame = frame_at(PointDerivatives.from_polynomials(comps, (u_plus, 0.0, s)))
+        frame = frame_at(nf.derivatives((u_plus, 0.0, s)))
         if not is_cross_cap(frame):
             raise DegeneracyError(
                 f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
@@ -328,57 +327,48 @@ class GaussProbeReport:
     s_tilde_max_agree: Optional[float]
 
 
-def default_theta_grid(n: int = 16) -> np.ndarray:
-    """n angles avoiding the singular line (multiples of pi)."""
-    half = n // 2
-    upper = (np.arange(half) + 0.5) / half * math.pi
+def default_theta_grid() -> np.ndarray:
+    """16 angles avoiding the singular line (multiples of pi)."""
+    upper = (np.arange(8) + 0.5) / 8 * math.pi
     return np.concatenate([upper, upper + math.pi])
 
 
-def default_k_grid(n: int = 8) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
+def default_k_grid() -> np.ndarray:
+    return (np.arange(8) + 0.5) / 8
 
 
 def gauss_sign_probe(
-    nf: NormalFormData,
-    s_tilde: float,
-    thetas: Optional[np.ndarray] = None,
-    k_fracs: Optional[np.ndarray] = None,
-    search_s0: bool = True,
+    nf: NormalFormData, s_tilde: float, search_s0: bool = True
 ) -> GaussProbeReport:
     """Compare the sign of K = L N - M^2 near the singular segment with the
     sign of st * sin(theta) * f31(0).
 
     The sample points live in the source coordinates of the normal form,
-    whose parameter must be normalized.  The k grid is a fraction of the
-    theta-dependent radius R; when ``search_s0`` is set, a bisection
-    locates the largest st in (0, 1/2] for which every sample agrees.
+    whose parameter must be normalized: the default theta grid times the
+    default k grid, a fraction of the theta-dependent radius R.  When
+    ``search_s0`` is set, a bisection locates the largest st in (0, 1/2]
+    for which every sample agrees.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
     cs = scalar_coefficients(nf)
     if abs(cs.f31_0) <= CLASS_TOL:
         raise DomainError("the sign law needs f31(0) != 0")
-    if thetas is None:
-        thetas = default_theta_grid()
-    if k_fracs is None:
-        k_fracs = default_k_grid()
-    thetas = np.asarray(thetas, dtype=float)
-    k_fracs = np.asarray(k_fracs, dtype=float)
+    thetas = default_theta_grid()
+    k_fracs = default_k_grid()
 
-    comps = nf.components()
-    agreement, mismatches, u_st = _probe_once(nf.f33, comps, cs, s_tilde, thetas, k_fracs)
+    agreement, mismatches, u_st = _probe_once(nf, cs, s_tilde, thetas, k_fracs)
 
     st_max = None
     if search_s0:
         lo, hi = 0.0, 0.5
-        ok_hi, _, _ = _probe_once(nf.f33, comps, cs, hi, thetas, k_fracs)
+        ok_hi, _, _ = _probe_once(nf, cs, hi, thetas, k_fracs)
         if ok_hi == 1.0:
             st_max = hi
         else:
             for _ in range(20):
                 mid = 0.5 * (lo + hi)
-                ok, _, _ = _probe_once(nf.f33, comps, cs, mid, thetas, k_fracs)
+                ok, _, _ = _probe_once(nf, cs, mid, thetas, k_fracs)
                 if ok == 1.0:
                     lo = mid
                 else:
@@ -395,9 +385,9 @@ def gauss_sign_probe(
     )
 
 
-def _probe_once(f33, comps, cs, st, thetas, k_fracs):
+def _probe_once(nf, cs, st, thetas, k_fracs):
     s = -st * st
-    roots = _real_roots(f33.subs(1, s).c, radius=1.0)
+    _, roots = _locus_roots(nf, s)
     if not roots:
         return 0.0, (), float("nan")
     alpha1 = 1.0 / cs.c20
@@ -415,7 +405,7 @@ def _probe_once(f33, comps, cs, st, thetas, k_fracs):
         for frac in k_fracs:
             r = frac * R * u_st
             point = (r * math.cos(theta), r * math.sin(theta), s)
-            K = form_bundle_from(PointDerivatives.from_polynomials(comps, point)).K
+            K = form_bundle_from(nf.derivatives(point)).K
             total += 1
             if math.copysign(1.0, K) != predicted:
                 bad.append((float(theta), float(frac), float(K)))

@@ -11,6 +11,7 @@ and is the only place they are read out of jets.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, horner, jet_recip, jet_sqrt
+from .jets import Jet, jet_recip, jet_sqrt
 
 # -- expression trees ---------------------------------------------------------
 
@@ -477,7 +478,10 @@ class MapGerm:
         """Freeze the deformation parameter; the result is a plain germ."""
         if self.kind != "deformation":
             raise UsageError("at_parameter needs a deformation")
-        sub = {"s": Num(float(s0))}
+        s0 = float(s0)
+        if not math.isfinite(s0):
+            raise DomainError(f"non-finite parameter value s = {s0}")
+        sub = {"s": Num(s0)}
         return MapGerm(*(substitute(e, sub) for e in self.components), kind="germ")
 
 
@@ -525,7 +529,8 @@ class PointDerivatives:
     d^2 f_c / d x_i d x_j with x = (u, v); a further parameter variable,
     if any, is held fixed.  This is the one source of pointwise derivative
     data: rank, kernel, the second-order frame and everything built on it
-    are read from here.  Non-finite entries raise DomainError.
+    are read from here; ``MapGerm.derivatives`` and
+    ``NormalFormData.derivatives`` build it.  Non-finite entries raise DomainError.
     """
 
     grad: np.ndarray  # 3 x 2
@@ -546,19 +551,6 @@ class PointDerivatives:
             [[[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]] for c in low]
         )
         return cls(grad, hess)
-
-    @classmethod
-    def from_polynomials(cls, jets, point) -> "PointDerivatives":
-        """Evaluate the partials of three polynomial jets (about the origin,
-        u and v first) at a numeric point away from it."""
-        table = []
-        for j in jets:
-            d_u, d_v = j.partial(0), j.partial(1)
-            table.append(
-                [d_u.c, d_v.c, d_u.partial(0).c, d_u.partial(1).c, d_v.partial(1).c]
-            )
-        vals = horner(np.array(table), point)  # 3 x 5
-        return cls(vals[:, :2], vals[:, [2, 3, 3, 4]].reshape(3, 2, 2))
 
     def rank(self) -> int:
         sv = np.linalg.svd(self.grad, compute_uv=False)

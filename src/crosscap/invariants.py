@@ -322,11 +322,11 @@ def _classify_conic(M, b, c):
     return "ellipse" if dQ * (M[0, 0] + M[1, 1]) < 0.0 else "degenerate-other"
 
 
-def _conic_kind_from_invariants(a20, a02, tol=CONIC_TOL):
+def _conic_kind_from_invariants(a20, a02):
     prod = a20 * a02
-    if prod < -tol * (1.0 + a02**2):
+    if prod < -CONIC_TOL * (1.0 + a02**2):
         return "ellipse"
-    if prod > tol * (1.0 + a02**2):
+    if prod > CONIC_TOL * (1.0 + a02**2):
         return "hyperbola"
     return "parabola"
 

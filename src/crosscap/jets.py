@@ -105,9 +105,6 @@ class Jet:
     def coordinates(cls, nvars, order):
         return tuple(cls.variable(i, nvars, order) for i in range(nvars))
 
-    def copy(self):
-        return Jet(self.nvars, self.order, self.c.copy(), _trusted=True)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other):
@@ -305,15 +302,13 @@ def horner(c, point):
 
 
 def _compose_rec(c, inners, depth):
-    """Nested Horner over the coefficient cube; scalars stay scalars."""
+    """Nested Horner over the coefficient cube; scalars stay scalars, so an
+    all-zero slice passes through as 0.0 and costs no jet product."""
     if depth == len(inners):
         return float(c)
-    k = c.shape[0] - 1
-    while k > 0 and not np.any(c[k]):
-        k -= 1
-    res = _compose_rec(c[k], inners, depth + 1)
+    res = _compose_rec(c[-1], inners, depth + 1)
     x = inners[depth]
-    for i in range(k - 1, -1, -1):
+    for i in range(c.shape[0] - 2, -1, -1):
         low = _compose_rec(c[i], inners, depth + 1)
         res = res * x + low if isinstance(res, Jet) or res != 0.0 else low
     return res

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .germs import (
     substitute,
     uses_variable,
 )
-from .jets import Jet, implicit_solve, invert_coordinate, jet_sqrt
+from .jets import Jet, horner, implicit_solve, invert_coordinate, jet_sqrt
 
 SPLIT_TOL = 1e-10  # Hadamard-division remainders above this signal bad input
 CLASS_TOL = 1e-9  # classification / degeneracy threshold on the discriminant
@@ -76,6 +77,26 @@ class NormalFormData:
             + us * self.f34.embed(3, (0, 2))
         )
         return u3, jy, jz
+
+    @cached_property
+    def _partials(self):
+        """Coefficient cubes of d_u, d_v, d_uu, d_uv, d_vv of each assembled
+        component (3 x 5 x cube), built on first use."""
+        table = []
+        for j in self.components():
+            d_u, d_v = j.partial(0), j.partial(1)
+            table.append(
+                [d_u.c, d_v.c, d_u.partial(0).c, d_u.partial(1).c, d_v.partial(1).c]
+            )
+        return np.array(table)
+
+    def derivatives(self, point) -> PointDerivatives:
+        """First and second derivatives in (u, v) of the assembled normal
+        form at the source point ``(u, v, s)``."""
+        if len(point) != 3:
+            raise UsageError(f"point arity {len(point)} != 3")
+        vals = horner(self._partials, point)  # 3 x 5
+        return PointDerivatives(vals[:, :2], vals[:, [2, 3, 3, 4]].reshape(3, 2, 2))
 
 
 @dataclass(frozen=True)

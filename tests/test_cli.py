@@ -87,6 +87,34 @@ def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):
     assert list(tmp_path.iterdir()) == []  # e.g. no mesh.obj with non-finite vertices
 
 
+TRACE_GERM = "u; v^2; u^2 + v^3 + u^2*v + s*v"  # the README trace germ
+FOCAL_GERM = "u; -u^2 + v^2; u^2 + v^3 + v*s + u^2*v"  # the README focal germ
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss-probe", "--germ", TRACE_GERM, "--s-tilde", "inf"],
+        ["gauss-probe", "--germ", TRACE_GERM, "--s-tilde", "1e200"],
+        ["trace", "--germ", TRACE_GERM, "--s-tilde-grid", "inf:2:3"],
+        ["trace", "--germ", TRACE_GERM, "--s-tilde-grid", "1e200:2:5"],
+        ["analyze", "--germ", TRACE_GERM, "--s", "inf", "--point", "0,0"],
+        ["focal", "--germ", FOCAL_GERM, "--s", "inf"],
+        # finite s whose locus slice overflows through the s^2 term
+        ["focal", "--germ", FOCAL_GERM + " + v*s^2", "--s=-1e160"],
+    ],
+)
+def test_non_finite_parameter_is_a_quiet_domain_error(capfd, argv):
+    """The parameter is rejected before numpy computes with it, so stderr
+    stays empty (numpy warnings would fail this test)."""
+    code = cli.main(argv)
+    out, err = capfd.readouterr()
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "math-domain"
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

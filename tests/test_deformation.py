@@ -13,8 +13,9 @@ from crosscap.deformation import (
     trajectory_geometry,
 )
 from crosscap.errors import DomainError, UsageError
-from crosscap.germs import MapGerm, PointDerivatives
+from crosscap.germs import MapGerm
 from crosscap.invariants import form_bundle
+from crosscap.jets import Jet
 from crosscap.normal_form import normalize_parameter, reduce, scalar_coefficients
 
 F_PLUS = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"
@@ -226,7 +227,6 @@ def test_derivative_constructors_agree_at_probe_samples():
     for text in (F_PLUS, F_MINUS):
         f = MapGerm.parse(text)
         nf = normalize_parameter(reduce(f))
-        comps = nf.components()
         for st in (0.025, 0.05, 0.1):
             s = -(st**2)
             frozen = f.at_parameter(s)
@@ -234,10 +234,32 @@ def test_derivative_constructors_agree_at_probe_samples():
             for theta in default_theta_grid():
                 for frac in default_k_grid():
                     x, y = frac * u_st * np.cos(theta), frac * u_st * np.sin(theta)
-                    got = PointDerivatives.from_polynomials(comps, (x, y, s))
+                    got = nf.derivatives((x, y, s))
                     want = frozen.derivatives((x, y))
                     for a, b in ((got.grad, want.grad), (got.hess, want.hess)):
                         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_normal_form_partials_are_built_once(monkeypatch):
+    """The partial cubes of a normal form are derived on its first
+    ``derivatives`` call; a second probe on it derives none."""
+    nf = normalize_parameter(reduce(MapGerm.parse(F_PLUS)))
+    first = gauss_sign_probe(nf, 0.05)
+    calls = []
+    original = Jet.partial
+
+    def counted(self, var):
+        calls.append(var)
+        return original(self, var)
+
+    monkeypatch.setattr(Jet, "partial", counted)
+    second = gauss_sign_probe(nf, 0.05)
+    assert calls == []
+    assert (second.u_of_st, second.agreement, second.s_tilde_max_agree) == (
+        first.u_of_st,
+        first.agreement,
+        first.s_tilde_max_agree,
+    )
 
 
 def test_gauss_probe_needs_normalized_parameter():
