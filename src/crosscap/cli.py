@@ -3,7 +3,7 @@ gauss-probe | mesh.
 
 Every command prints a JSON report to stdout; file-emitting commands also
 write their artifacts into --out.  Exit codes: 0 success, 2 usage,
-3 math-domain, 4 internal-consistency.
+3 math-domain (floating-point overflow included), 4 internal-consistency.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import deformation as da
 from . import invariants as pi
@@ -391,13 +393,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; floating-point overflow, invalid operations and
+    division by zero anywhere in it are math-domain errors (exit 3)."""
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(to_json({"error": {"type": "usage", "message": str(exc)}}))
         return 2
-    except DomainError as exc:
+    except (DomainError, FloatingPointError, OverflowError) as exc:
         print(to_json({"error": {"type": "math-domain", "message": str(exc)}}))
         return 3
     except ConsistencyError as exc:

@@ -255,16 +255,28 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
 # -- Richardson extrapolation ------------------------------------------------------------
 
 
+RICHARDSON_TOL = 1e-3
+
+
 def richardson(values, ratio):
     """Limit of a sequence sampled on a geometric grid (largest step first);
-    eliminates one power of the step per column."""
+    eliminates one power of the step per column.
+
+    Returns (limit, error), where error is the last tableau difference
+    |T_n,0 - T_n-1,0|, what the final column changed in the limit estimate
+    (Sidi, Practical Extrapolation Methods, 2003); it is inf for a single
+    value.
+    """
     T = [float(v) for v in values]
+    error = math.inf
     m = 1
     while len(T) > 1:
         q = ratio**m
+        prev = T[0]
         T = [(q * T[i + 1] - T[i]) / (q - 1.0) for i in range(len(T) - 1)]
+        error = abs(T[0] - prev)
         m += 1
-    return T[0]
+    return T[0], error
 
 
 @dataclass(frozen=True)
@@ -294,10 +306,15 @@ def asymptotic_limits(table: TraceTable, cs: CoefficientSet) -> AsymptoticReport
         "a11": cs.f31_0 / (2.0 * c2),
         "a02": 1.0 / (2.0 * c2),
     }
-    limits = {
-        name: richardson(st**2 * table.column(name), ratio)
-        for name in ("a20", "a11", "a02")
-    }
+    limits = {}
+    for name in ("a20", "a11", "a02"):
+        limit, error = richardson(st**2 * table.column(name), ratio)
+        if not error <= RICHARDSON_TOL * (1.0 + abs(limit)):
+            raise DomainError(
+                f"Richardson extrapolation of st^2 * {name} has not settled: "
+                f"limit {limit:.6e}, error estimate {error:.3e}"
+            )
+        limits[name] = limit
     residuals = {name: limits[name] - theory[name] for name in theory}
     bounded_a20 = abs(cs.f31_0) <= CLASS_TOL
     bounded_a11 = bounded_a20 and abs(
@@ -308,8 +325,8 @@ def asymptotic_limits(table: TraceTable, cs: CoefficientSet) -> AsymptoticReport
         theory=theory,
         residuals=residuals,
         bounded_flags={"a20": bounded_a20, "a11": bounded_a11, "a02": False},
-        ku_ext_limit=richardson(table.column("ku_ext"), ratio),
-        ka_limit=richardson(table.column("ka"), ratio),
+        ku_ext_limit=richardson(table.column("ku_ext"), ratio)[0],
+        ka_limit=richardson(table.column("ka"), ratio)[0],
     )
 
 

@@ -3,8 +3,11 @@
 Everything here is read from one ``germs.PointDerivatives`` object: the
 five derivative vectors f_u, f_v, f_uu, f_uv, f_vv at the point, taken in
 source coordinates aligned so the kernel of df is the v-direction (with v
-flipped, when needed, to make the triple determinant |f_u, f_uv, f_vv|
+flipped, when needed, to make the Whitney triple C = |f_u, f_uv, f_vv|
 positive).  That convention pins the sign of the mixed invariant a11.
+The frame keeps C, and every cross-cap decision reads it: the Whitney
+test, the invariants, and the focal conic, which is non-degenerate
+exactly where C does not vanish and takes its kind from det M = -D/(4A).
 The ``(f, point)`` functions expand the germ once at the point and read
 from that object; the ``*_from_frame`` functions serve callers that
 already hold the derivatives, such as points of an assembled normal form.
@@ -31,20 +34,22 @@ PARALLEL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SecondOrderFrame:
-    """Derivatives at a rank-1 point, in kernel-aligned source coordinates."""
+    """Derivatives at a rank-1 point, in kernel-aligned source coordinates,
+    with the Whitney triple C = |f_u, f_uv, f_vv| >= 0."""
 
     f_u: np.ndarray
     f_v: np.ndarray
     f_uu: np.ndarray
     f_uv: np.ndarray
     f_vv: np.ndarray
+    C: float
 
     def triple(self, a, b, c):
         return float(np.linalg.det(np.column_stack([a, b, c])))
 
 
 def frame_at(d: PointDerivatives) -> SecondOrderFrame:
-    """Align the source so Ker df = <d_v> and flip v when needed for C > 0."""
+    """Align the source so Ker df = <d_v> and flip v when needed for C >= 0."""
     n = d.null_vector()
     t = np.array([n[1], -n[0]])
     f_u = d.grad @ t
@@ -52,10 +57,12 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     f_uu = np.einsum("cij,i,j->c", d.hess, t, t)
     f_uv = np.einsum("cij,i,j->c", d.hess, t, n)
     f_vv = np.einsum("cij,i,j->c", d.hess, n, n)
-    if float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv]))) < 0.0:
+    C = float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv])))
+    if C < 0.0:
         f_uv = -f_uv
         f_v = -f_v
-    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv)
+        C = -C
+    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv, C)
 
 
 def _plain_frame(f: MapGerm, point) -> SecondOrderFrame:
@@ -100,14 +107,13 @@ def whitney_test(f: MapGerm, point) -> bool:
 
 
 def is_cross_cap(frame: SecondOrderFrame) -> bool:
-    """A rank-1 point is a cross-cap iff |f_u, f_vv, f_uv| does not vanish."""
-    det = frame.triple(frame.f_u, frame.f_vv, frame.f_uv)
+    """A rank-1 point is a cross-cap iff C = |f_u, f_uv, f_vv| does not vanish."""
     scale = (
         np.linalg.norm(frame.f_u)
         * np.linalg.norm(frame.f_vv)
         * np.linalg.norm(frame.f_uv)
     )
-    return bool(abs(det) > WHITNEY_TOL * (scale + 1.0))
+    return bool(frame.C > WHITNEY_TOL * (scale + 1.0))
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def fundamental_scalars(frame: SecondOrderFrame) -> FundamentalScalars:
     A = float(f_u @ f_u)
     cross = np.cross(f_u, f_vv)
     B = float(cross @ cross)
-    C = frame.triple(f_u, f_uv, f_vv)
+    C = frame.C
     d_uuv = frame.triple(f_u, f_uu, f_vv)
     d_uvu = frame.triple(f_u, f_uv, f_uu)
     D = d_uuv**2 + 4.0 * C * d_uvu
@@ -241,94 +247,47 @@ class FocalConic:
     plane_basis: np.ndarray
 
 
-CONIC_KINDS = (
-    "ellipse",
-    "parabola",
-    "hyperbola",
-    "two-lines",
-    "double-or-single-line",
-    "degenerate-other",
-)
-
-
 def focal_conic(f: MapGerm, point) -> FocalConic:
     return focal_conic_from_frame(_plain_frame(f, point))
 
 
-def crosscheck_conic_kind(kind, inv: UmbrellaInvariants) -> str:
-    """Assert that the definition-based conic kind matches the sign rule
-    a20 a02 < 0 (ellipse), > 0 (hyperbola), = 0 (parabola).
-
-    Right at the parabola threshold the two routes may fall on different
-    sides of their numeric tolerances, so disagreement only counts when the
-    product is clearly away from zero.
-    """
-    expected = _conic_kind_from_invariants(inv.a20, inv.a02)
-    if expected == kind:
-        return kind
-    near_threshold = abs(inv.a20 * inv.a02) <= 1e-6 * (1.0 + inv.a02**2)
-    if near_threshold and {kind, expected} != {"ellipse", "hyperbola"}:
-        return kind
-    raise ConsistencyError(
-        f"focal conic kind {kind!r} contradicts the invariant sign rule "
-        f"{expected!r} (a20 = {inv.a20:.6e}, a02 = {inv.a02:.6e})"
-    )
+_CONIC_KINDS = {  # by cross-cap, then by det M: ~0, < 0, > 0
+    True: ("parabola", "hyperbola", "ellipse"),
+    False: ("double-or-single-line", "two-lines", "degenerate-other"),
+}
 
 
 def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
     """Critical-value conic of the squared-distance family at a rank-1 point.
 
     The determinant of the Hessian of D^x restricted to the affine normal
-    plane is the quadratic form below; at cross-cap points the kind is
-    cross-checked against the sign rule in terms of a20 a02.
+    plane is the quadratic form below.  Its 3x3 matrix has determinant
+    A C^2 / 4, so the conic is non-degenerate exactly at cross-caps, and
+    det M = -D / (4A); the kind is read from det M, which is checked
+    against that identity.  As c = 0 the conic passes through w = 0, so a
+    non-degenerate conic with det M > 0 is a real ellipse.
     """
     basis = normal_plane_basis(frame.f_u)
-    A = float(frame.f_u @ frame.f_u)
+    fs = fundamental_scalars(frame)
     p_uu = basis.T @ frame.f_uu
     p_uv = basis.T @ frame.f_uv
     p_vv = basis.T @ frame.f_vv
     # det Hess D^x = (w.f_uu - A)(w.f_vv) - (w.f_uv)^2, as a form in w
     M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
-    b = -A * p_vv
-    c = 0.0
-    kind = _classify_conic(M, b, c)
-    if is_cross_cap(frame):
-        crosscheck_conic_kind(kind, invariants_from_frame(frame)[1])
-    return FocalConic(M, b, c, kind, basis)
-
-
-def _classify_conic(M, b, c):
-    Q = np.zeros((3, 3))
-    Q[:2, :2] = M
-    Q[:2, 2] = b / 2.0
-    Q[2, :2] = b / 2.0
-    Q[2, 2] = c
-    scale = float(np.sum(Q * Q)) + 1e-300
-    if not scale < 1e200:  # scale**1.5 below must stay a finite float
-        raise DomainError(f"focal conic entries too large to classify ({scale:.3e})")
+    b = -fs.A * p_vv
     dM = float(np.linalg.det(M))
-    dQ = float(np.linalg.det(Q))
-    small_dM = abs(dM) <= CONIC_TOL * scale
-    small_dQ = abs(dQ) <= CONIC_TOL * scale**1.5
-    if small_dM:
-        if small_dQ:
-            return "double-or-single-line"
-        return "parabola"
-    if dM < 0.0:
-        return "hyperbola" if not small_dQ else "two-lines"
-    if small_dQ:
-        return "degenerate-other"  # a single real point
-    # real ellipse iff the nonzero eigenvalue side matches the constant part
-    return "ellipse" if dQ * (M[0, 0] + M[1, 1]) < 0.0 else "degenerate-other"
-
-
-def _conic_kind_from_invariants(a20, a02):
-    prod = a20 * a02
-    if prod < -CONIC_TOL * (1.0 + a02**2):
-        return "ellipse"
-    if prod > CONIC_TOL * (1.0 + a02**2):
-        return "hyperbola"
-    return "parabola"
+    tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
+    gap = abs(dM + fs.D / (4.0 * fs.A))
+    if not math.isfinite(gap + tol):
+        raise DomainError("focal conic entries beyond the float range")
+    if gap > tol:
+        raise ConsistencyError(
+            f"focal conic det M = {dM:.6e} contradicts -D/(4A) = "
+            f"{-fs.D / (4.0 * fs.A):.6e}"
+        )
+    sign = 0 if abs(dM) <= tol else (1 if dM < 0.0 else 2)
+    kind = _CONIC_KINDS[is_cross_cap(frame)][sign]
+    return FocalConic(M, b, 0.0, kind, basis)
 
 
 # -- fundamental forms and Gaussian curvature sign ----------------------------------

@@ -78,6 +78,9 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         ("mesh", "--germ", MODEL_S1_PLUS, "--s", "inf", "--nu", "2", "--nv", "2"),
         ("mesh", "--germ", MODEL_S1_PLUS, "--s=-inf", "--nu", "2", "--nv", "2"),
         ("mesh", "--germ", "u; v; u^9999", "--u-range=-2:2", "--nu", "2", "--nv", "2"),
+        # a grid ratio this close to 1 leaves the Richardson limits unsettled
+        ("trace", "--germ", "u; v^2; u^2 + v^3 + u^2*v + s*v",
+         "--s-tilde-grid", "0.1:1.0000001:6"),
     ],
 )
 def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):
@@ -103,11 +106,17 @@ FOCAL_GERM = "u; -u^2 + v^2; u^2 + v^3 + v*s + u^2*v"  # the README focal germ
         ["focal", "--germ", FOCAL_GERM, "--s", "inf"],
         # finite s whose locus slice overflows through the s^2 term
         ["focal", "--germ", FOCAL_GERM + " + v*s^2", "--s=-1e160"],
+        # finite inputs that overflow numpy arithmetic (the Whitney-test
+        # norms, the jet product) or a Python float power (D's d_uuv^2)
+        ["analyze", "--germ", TRACE_GERM, "--s", "1e200", "--point", "0,0"],
+        ["analyze", "--germ", "u; v^2; 1e300*u^2 + v^3", "--point", "1e10,0"],
+        ["analyze", "--germ", "u; u*v + 1e100*u^2; 1e100*v^2", "--point", "0,0"],
     ],
 )
 def test_non_finite_parameter_is_a_quiet_domain_error(capfd, argv):
-    """The parameter is rejected before numpy computes with it, so stderr
-    stays empty (numpy warnings would fail this test)."""
+    """Non-finite parameters are rejected before numpy computes with them,
+    and floating-point overflow anywhere in a command is a math-domain
+    error, so stderr stays empty (numpy warnings would fail this test)."""
     code = cli.main(argv)
     out, err = capfd.readouterr()
     assert code == 3
@@ -222,6 +231,18 @@ def test_trace_files_and_determinism(capsys, tmp_path):
     rep = json.loads(json1)
     assert rep["asymptotics"]["limits"]["a02"] == pytest.approx(0.5, abs=1e-5)
     assert rep["all_conics"] == ["hyperbola"]
+
+
+def test_trace_down_to_small_st_keeps_the_hyperbola(capsys):
+    """At st = 0.1 * 2^-11 the conic's 3x3 determinant A C^2 / 4 is 9.5e-9,
+    below CONIC_TOL * scale^1.5 = 3.2e-8 for its entry scale 10; the conic
+    must still count as non-degenerate because the point is a cross-cap."""
+    code, out = run(capsys, "trace", "--germ", TRACE_GERM, "--s-tilde-grid", "0.1:2:12")
+    assert code == 0
+    rep = last_json(out)
+    assert rep["all_conics"] == ["hyperbola"]
+    for name, limit in rep["asymptotics"]["limits"].items():
+        assert limit == pytest.approx(rep["asymptotics"]["theory"][name], abs=1e-5)
 
 
 def test_trace_csv_round_trip(capsys, tmp_path):

@@ -163,11 +163,20 @@ def test_extrapolation_stability(s1_plus):
         assert abs(r1.limits[name] - r2.limits[name]) <= 1e-6
 
 
+def test_unsettled_extrapolation_is_domain_error():
+    # ratio 1 + 1e-7: the tableau divides by q - 1 ~ 1e-7 and amplifies the
+    # rounding of st^2 * a20 to ~1e18, so the error estimate is ~ the limit
+    f = MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v")
+    table, _, cs = trace(f, [0.1 * 1.0000001**-j for j in range(6)])
+    with pytest.raises(DomainError, match="not settled"):
+        asymptotic_limits(table, cs)
+
+
 def test_richardson_on_known_series():
     # q(h) = 3 + 2 h + h^2 sampled geometrically converges to 3
     hs = [0.2 * 2.0**-j for j in range(6)]
     vals = [3 + 2 * h + h * h for h in hs]
-    assert abs(richardson(vals, 2.0) - 3.0) <= 1e-12
+    assert abs(richardson(vals, 2.0)[0] - 3.0) <= 1e-12
 
 
 # -- dichotomy flags ----------------------------------------------------------------

@@ -149,6 +149,30 @@ def test_focal_conic_degenerates_at_s1(s1_plus):
     assert focal_conic(ex4_s0, (0.0, 0.0)).kind == "two-lines"
 
 
+def test_focal_conic_determinants_are_whitney_scalars():
+    """det Q = A C^2 / 4 for the 3x3 conic matrix Q and det M = -D / (4A),
+    proved symbolically.  Both sides are invariant under rotations of R^3
+    and under the choice of orthonormal normal-plane basis, so f_u = a e1
+    with normal plane (e2, e3) is general."""
+    sp = pytest.importorskip("sympy")
+    a = sp.Symbol("a", positive=True)
+    f_u = sp.Matrix([a, 0, 0])
+    f_uu, f_uv, f_vv = (sp.Matrix(sp.symbols(f"{n}1:4")) for n in "xyz")
+
+    def triple(x, y, z):
+        return sp.Matrix.hstack(x, y, z).det()
+
+    p_uu, p_uv, p_vv = (v[1:, :] for v in (f_uu, f_uv, f_vv))
+    A = a**2
+    M = (p_uu * p_vv.T + p_vv * p_uu.T) / 2 - p_uv * p_uv.T
+    b = -A * p_vv
+    Q = sp.Matrix.vstack(sp.Matrix.hstack(M, b / 2), sp.Matrix.hstack(b.T / 2, sp.zeros(1)))
+    C = triple(f_u, f_uv, f_vv)
+    D = triple(f_u, f_uu, f_vv) ** 2 + 4 * C * triple(f_u, f_uv, f_uu)
+    assert sp.expand(Q.det() - A * C**2 / 4) == 0
+    assert sp.expand(M.det() + D / (4 * A)) == 0
+
+
 def test_isometry_invariance(rng):
     from crosscap.normal_form import random_rotation
 
