@@ -1,9 +1,10 @@
 """Command-line surface: analyze | normal-form | trace | focal |
 gauss-probe | mesh.
 
-Every command prints a JSON report to stdout; file-emitting commands also
-write their artifacts into --out.  Exit codes: 0 success, 2 usage,
-3 math-domain (floating-point overflow included), 4 internal-consistency.
+Every command prints a JSON report to stdout and, once it has succeeded,
+writes its artifacts into --out; a failed command writes nothing.  Exit
+codes: 0 success, 2 usage, 3 math-domain (floating-point overflow
+included), 4 internal-consistency.
 """
 
 from __future__ import annotations
@@ -225,13 +226,12 @@ def cmd_analyze(args):
         report["note"] = "no rank-1 singular point at the requested point"
     else:
         frame = pi.frame_at(d)
-        is_umbrella = pi.is_cross_cap(frame)
-        report["whitney_umbrella"] = is_umbrella
+        report["whitney_umbrella"] = frame.cross_cap
         report["curvature_parabola"] = _parabola_dict(
             pi.curvature_parabola_from_frame(frame)
         )
         report["focal_conic"] = _conic_dict(pi.focal_conic_from_frame(frame))
-        if is_umbrella:
+        if frame.cross_cap:
             scalars, inv = pi.invariants_from_frame(frame)
             report["fundamental_scalars"] = {
                 "A": scalars.A,
@@ -247,8 +247,7 @@ def cmd_analyze(args):
                 "ku_ext": inv.ku_ext,
                 "ka": inv.ka,
             }
-    _emit(args, report, "analyze.json")
-    return 0
+    return report, {"analyze.json": None}
 
 
 def cmd_normal_form(args):
@@ -262,8 +261,7 @@ def cmd_normal_form(args):
     report["monomials"] = {
         k: list(v) for k, v in nfm.monomial_coefficients(nf).items()
     }
-    _emit(args, report, "normal_form.json")
-    return 0
+    return report, {"normal_form.json": None}
 
 
 def cmd_trace(args):
@@ -288,14 +286,7 @@ def cmd_trace(args):
     else:
         report["asymptotics"] = None
         report["note"] = "fewer than 4 rows; no extrapolation"
-    out = _outdir(args)
-    if out is not None:
-        (out / "trace.csv").write_text(trace_csv(table), encoding="utf-8")
-        (out / "trace_asymptotics.json").write_text(
-            to_json(report) + "\n", encoding="utf-8"
-        )
-    print(to_json(report))
-    return 0
+    return report, {"trace.csv": trace_csv(table), "trace_asymptotics.json": None}
 
 
 def cmd_focal(args):
@@ -324,13 +315,7 @@ def cmd_focal(args):
     conic = pi.focal_conic_from_frame(pi.frame_at(d))
     report["point"] = list(point)
     report["conic"] = _conic_dict(conic)
-    svg = conic_svg(conic)
-    out = _outdir(args)
-    if out is not None:
-        (out / "focal.svg").write_text(svg, encoding="utf-8")
-        (out / "focal.json").write_text(to_json(report) + "\n", encoding="utf-8")
-    print(to_json(report))
-    return 0
+    return report, {"focal.svg": conic_svg(conic), "focal.json": None}
 
 
 def cmd_gauss_probe(args):
@@ -350,8 +335,7 @@ def cmd_gauss_probe(args):
             "k_count": len(rep.k_fracs),
         }
     )
-    _emit(args, report, "gauss_probe.json")
-    return 0
+    return report, {"gauss_probe.json": None}
 
 
 def cmd_mesh(args):
@@ -364,22 +348,10 @@ def cmd_mesh(args):
     report = _meta(args)
     report["vertices"] = len(vertices)
     report["s"] = args.s
-    out = _outdir(args)
-    if out is not None:
-        (out / "mesh.obj").write_text(obj_text, encoding="utf-8")
-        if args.k_sign:
-            (out / "mesh_ksign.txt").write_text(
-                mesh_k_signs(frozen, vertices), encoding="utf-8"
-            )
-    print(to_json(report))
-    return 0
-
-
-def _emit(args, report, filename):
-    out = _outdir(args)
-    if out is not None:
-        (out / filename).write_text(to_json(report) + "\n", encoding="utf-8")
-    print(to_json(report))
+    files = {"mesh.obj": obj_text}
+    if args.k_sign:
+        files["mesh_ksign.txt"] = mesh_k_signs(frozen, vertices)
+    return report, files
 
 
 _COMMANDS = {
@@ -394,11 +366,23 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one command; floating-point overflow, invalid operations and
-    division by zero anywhere in it are math-domain errors (exit 3)."""
+    division by zero anywhere in it are math-domain errors (exit 3).
+
+    A command returns its report and the files to write into --out, name
+    to text, where None stands for the report's own JSON.
+    """
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _COMMANDS[args.command](args)
+            report, files = _COMMANDS[args.command](args)
+        text = to_json(report)
+        out = _outdir(args)
+        if out is not None:
+            for name, body in files.items():
+                body = text + "\n" if body is None else body
+                (out / name).write_text(body, encoding="utf-8")
+        print(text)
+        return 0
     except UsageError as exc:
         print(to_json({"error": {"type": "usage", "message": str(exc)}}))
         return 2

@@ -25,7 +25,6 @@ from .invariants import (
     form_bundle_from,
     frame_at,
     invariants_from_frame,
-    is_cross_cap,
 )
 from .jets import Jet, branch_solve, jet_recip, jet_sqrt
 from .normal_form import (
@@ -74,7 +73,7 @@ def singular_locus(nf: NormalFormData, s: float):
             )
         frame = frame_at(nf.derivatives((u0, 0.0, s)))
         kind = focal_conic_from_frame(frame).kind
-        if is_cross_cap(frame):
+        if frame.cross_cap:
             _, inv = invariants_from_frame(frame)
             records.append(
                 SingularPointRecord(st, (u0, 0.0), "umbrella", inv, kind, residual)
@@ -229,7 +228,7 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
         u_plus = min(roots, key=lambda r: abs(r - alpha1 * st))
         u_minus = min(roots, key=lambda r: abs(r + alpha1 * st))
         frame = frame_at(nf.derivatives((u_plus, 0.0, s)))
-        if not is_cross_cap(frame):
+        if not frame.cross_cap:
             raise DegeneracyError(
                 f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
                 "is not a cross-cap"

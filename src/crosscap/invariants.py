@@ -5,9 +5,12 @@ five derivative vectors f_u, f_v, f_uu, f_uv, f_vv at the point, taken in
 source coordinates aligned so the kernel of df is the v-direction (with v
 flipped, when needed, to make the Whitney triple C = |f_u, f_uv, f_vv|
 positive).  That convention pins the sign of the mixed invariant a11.
-The frame keeps C, and every cross-cap decision reads it: the Whitney
-test, the invariants, and the focal conic, which is non-degenerate
-exactly where C does not vanish and takes its kind from det M = -D/(4A).
+``frame_at`` decides once whether the point is a cross-cap (C does not
+vanish) and stores the answer on the frame; everything else reads it:
+the Whitney test, the invariants, the curvature parabola, which is a
+non-degenerate parabola exactly at cross-caps (|q1 x q2| = 2C/A), and
+the focal conic, which is non-degenerate exactly there and takes its
+kind from det M = -D/(4A).
 The ``(f, point)`` functions expand the germ once at the point and read
 from that object; the ``*_from_frame`` functions serve callers that
 already hold the derivatives, such as points of an assembled normal form.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,9 +37,23 @@ PARALLEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
+class FundamentalScalars:
+    """A = f_u.f_u, B = |f_u x f_vv|^2, C = |f_u, f_uv, f_vv|, and the two
+    auxiliary determinant combinations D and E (E_inv here, to keep the
+    first-fundamental-form letter free)."""
+
+    A: float
+    B: float
+    C: float
+    D: float
+    E_inv: float
+
+
+@dataclass(frozen=True)
 class SecondOrderFrame:
     """Derivatives at a rank-1 point, in kernel-aligned source coordinates,
-    with the Whitney triple C = |f_u, f_uv, f_vv| >= 0."""
+    with the Whitney triple C = |f_u, f_uv, f_vv| >= 0 and the cross-cap
+    decision read from it."""
 
     f_u: np.ndarray
     f_v: np.ndarray
@@ -43,13 +61,33 @@ class SecondOrderFrame:
     f_uv: np.ndarray
     f_vv: np.ndarray
     C: float
+    cross_cap: bool
 
     def triple(self, a, b, c):
         return float(np.linalg.det(np.column_stack([a, b, c])))
 
+    @cached_property
+    def scalars(self) -> FundamentalScalars:
+        """The fundamental scalars, computed on first use."""
+        f_u, f_uu, f_uv, f_vv = self.f_u, self.f_uu, self.f_uv, self.f_vv
+        A = float(f_u @ f_u)
+        cross = np.cross(f_u, f_vv)
+        B = float(cross @ cross)
+        C = self.C
+        d_uuv = self.triple(f_u, f_uu, f_vv)
+        d_uvu = self.triple(f_u, f_uv, f_uu)
+        try:
+            D = d_uuv**2 + 4.0 * C * d_uvu
+        except OverflowError:
+            raise DomainError("fundamental scalars beyond the float range") from None
+        gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
+        E = 2.0 * C * gram - B * d_uuv
+        return FundamentalScalars(A, B, C, D, E)
+
 
 def frame_at(d: PointDerivatives) -> SecondOrderFrame:
-    """Align the source so Ker df = <d_v> and flip v when needed for C >= 0."""
+    """Align the source so Ker df = <d_v>, flip v when needed for C >= 0,
+    and decide the cross-cap test: C > WHITNEY_TOL (|f_u| |f_vv| |f_uv| + 1)."""
     n = d.null_vector()
     t = np.array([n[1], -n[0]])
     f_u = d.grad @ t
@@ -62,7 +100,9 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
         f_uv = -f_uv
         f_v = -f_v
         C = -C
-    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv, C)
+    scale = np.linalg.norm(f_u) * np.linalg.norm(f_vv) * np.linalg.norm(f_uv)
+    cross_cap = bool(C > WHITNEY_TOL * (scale + 1.0))
+    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv, C, cross_cap)
 
 
 def _plain_frame(f: MapGerm, point) -> SecondOrderFrame:
@@ -103,30 +143,8 @@ def normal_plane_basis(f_u) -> np.ndarray:
 
 
 def whitney_test(f: MapGerm, point) -> bool:
-    return is_cross_cap(_plain_frame(f, point))
-
-
-def is_cross_cap(frame: SecondOrderFrame) -> bool:
     """A rank-1 point is a cross-cap iff C = |f_u, f_uv, f_vv| does not vanish."""
-    scale = (
-        np.linalg.norm(frame.f_u)
-        * np.linalg.norm(frame.f_vv)
-        * np.linalg.norm(frame.f_uv)
-    )
-    return bool(frame.C > WHITNEY_TOL * (scale + 1.0))
-
-
-@dataclass(frozen=True)
-class FundamentalScalars:
-    """A = f_u.f_u, B = |f_u x f_vv|^2, C = |f_u, f_uv, f_vv|, and the two
-    auxiliary determinant combinations D and E (E_inv here, to keep the
-    first-fundamental-form letter free)."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E_inv: float
+    return _plain_frame(f, point).cross_cap
 
 
 @dataclass(frozen=True)
@@ -136,20 +154,6 @@ class UmbrellaInvariants:
     a02: float
     ku_ext: float  # extended umbilic curvature 2|a11/a02|
     ka: float  # axial curvature |(a20 a02 - a11^2)/a02|
-
-
-def fundamental_scalars(frame: SecondOrderFrame) -> FundamentalScalars:
-    f_u, f_uu, f_uv, f_vv = frame.f_u, frame.f_uu, frame.f_uv, frame.f_vv
-    A = float(f_u @ f_u)
-    cross = np.cross(f_u, f_vv)
-    B = float(cross @ cross)
-    C = frame.C
-    d_uuv = frame.triple(f_u, f_uu, f_vv)
-    d_uvu = frame.triple(f_u, f_uv, f_uu)
-    D = d_uuv**2 + 4.0 * C * d_uvu
-    gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
-    E = 2.0 * C * gram - B * d_uuv
-    return FundamentalScalars(A, B, C, D, E)
 
 
 def umbrella_invariants(f: MapGerm, point):
@@ -162,20 +166,23 @@ def invariants_from_frame(frame: SecondOrderFrame):
     Returns (FundamentalScalars, UmbrellaInvariants); requires the
     Whitney-umbrella test to pass at the point.
     """
-    if not is_cross_cap(frame):
+    if not frame.cross_cap:
         raise DomainError("the point is not a cross-cap")
-    fs = fundamental_scalars(frame)
+    fs = frame.scalars
     A, B, C, D, E = fs.A, fs.B, fs.C, fs.D, fs.E_inv
-    a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
-    a11 = 0.5 / math.sqrt(A) / C**2 * E
-    a02 = math.sqrt(A) * B**1.5 / C**2
-    inv = UmbrellaInvariants(
-        a20=a20,
-        a11=a11,
-        a02=a02,
-        ku_ext=2.0 * abs(a11 / a02),
-        ka=abs((a20 * a02 - a11**2) / a02),
-    )
+    try:
+        a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
+        a11 = 0.5 / math.sqrt(A) / C**2 * E
+        a02 = math.sqrt(A) * B**1.5 / C**2
+        inv = UmbrellaInvariants(
+            a20=a20,
+            a11=a11,
+            a02=a02,
+            ku_ext=2.0 * abs(a11 / a02),
+            ka=abs((a20 * a02 - a11**2) / a02),
+        )
+    except OverflowError:
+        raise DomainError("umbrella invariants beyond the float range") from None
     return fs, inv
 
 
@@ -207,6 +214,15 @@ def curvature_parabola_from_frame(frame: SecondOrderFrame) -> CurvatureParabola:
     q2 = basis.T @ frame.f_vv
 
     n2 = np.linalg.norm(q2)
+    if frame.cross_cap:
+        # |q1 x q2| = 2C/A: a genuine parabola, with its vertex where the
+        # tangent is orthogonal to the axis
+        axis = q2 / n2
+        cstar = -float(q1 @ q2) / (2.0 * n2**2)
+        vertex = q0 + cstar * q1 + cstar**2 * q2
+        ka = abs(float(vertex @ axis))
+        return CurvatureParabola(basis, "parabola", vertex, axis, None, ka)
+
     n1 = np.linalg.norm(q1)
     if n2 <= PARALLEL_TOL * (n1 + 1.0):
         if n1 <= PARALLEL_TOL:
@@ -214,16 +230,8 @@ def curvature_parabola_from_frame(frame: SecondOrderFrame) -> CurvatureParabola:
         axis = q1 / n1
         return CurvatureParabola(basis, "line", q0, axis, None, None)
 
-    cross = q1[0] * q2[1] - q1[1] * q2[0]
-    axis = q2 / n2
-    if abs(cross) > PARALLEL_TOL * (n1 * n2 + 1.0):
-        # genuine parabola: vertex where the tangent is orthogonal to the axis
-        cstar = -float(q1 @ q2) / (2.0 * n2**2)
-        vertex = q0 + cstar * q1 + cstar**2 * q2
-        ka = abs(float(vertex @ axis))
-        return CurvatureParabola(basis, "parabola", vertex, axis, None, ka)
-
     # degenerate direction: a half-line swept as c^2 + c * (q1 along q2)
+    axis = q2 / n2
     tau = float(q1 @ q2) / n2**2
     vertex = q0 - (tau**2 / 4.0) * q2
     nu2 = np.array([-axis[1], axis[0]])
@@ -262,13 +270,14 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
 
     The determinant of the Hessian of D^x restricted to the affine normal
     plane is the quadratic form below.  Its 3x3 matrix has determinant
-    A C^2 / 4, so the conic is non-degenerate exactly at cross-caps, and
-    det M = -D / (4A); the kind is read from det M, which is checked
-    against that identity.  As c = 0 the conic passes through w = 0, so a
-    non-degenerate conic with det M > 0 is a real ellipse.
+    A C^2 / 4, so the conic is non-degenerate exactly at cross-caps (the
+    frame's flag decides it), and det M = -D / (4A); the kind is read from
+    det M, which is checked against that identity.  As c = 0 the conic
+    passes through w = 0, so a non-degenerate conic with det M > 0 is a
+    real ellipse.
     """
     basis = normal_plane_basis(frame.f_u)
-    fs = fundamental_scalars(frame)
+    fs = frame.scalars
     p_uu = basis.T @ frame.f_uu
     p_uv = basis.T @ frame.f_uv
     p_vv = basis.T @ frame.f_vv
@@ -286,7 +295,7 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
             f"{-fs.D / (4.0 * fs.A):.6e}"
         )
     sign = 0 if abs(dM) <= tol else (1 if dM < 0.0 else 2)
-    kind = _CONIC_KINDS[is_cross_cap(frame)][sign]
+    kind = _CONIC_KINDS[frame.cross_cap][sign]
     return FocalConic(M, b, 0.0, kind, basis)
 
 

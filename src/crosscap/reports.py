@@ -3,6 +3,8 @@ fixed-column CSV, SVG conic drawings, and OBJ meshes.
 
 Identical inputs must produce byte-identical files, so every number is
 formatted through one code path and no locale or hash ordering leaks in.
+The SVG drawer draws the kind the focal conic was classified as; it does
+not classify the conic again.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def conic_svg(conic: FocalConic) -> str:
     """Draw the conic in the normal-plane coordinates, y axis upward."""
     parts = [_SVG_HEADER, '<g transform="scale(1,-1)" stroke="black" ']
     parts.append('stroke-width="0.03" fill="none">\n')
-    for branch in _conic_branches(conic.M, conic.b, conic.c):
+    for branch in _conic_branches(conic):
         points = " ".join(f"{fmt_float(x)},{fmt_float(y)}" for x, y in branch)
         parts.append(f'<polyline points="{points}"/>\n')
     parts.append("</g>\n")
@@ -91,58 +93,45 @@ def conic_svg(conic: FocalConic) -> str:
     return "".join(parts)
 
 
-def _conic_branches(M, b, c, span=8.0, samples=129):
-    """Sampled point chains covering the zero set of w^T M w + b.w + c."""
-    M = np.asarray(M, float)
-    b = np.asarray(b, float)
+def _conic_branches(conic: FocalConic, span=8.0, samples=129):
+    """Sampled point chains covering the zero set of w^T M w + b.w + c,
+    drawn as the classified ``conic.kind``; M is not classified again."""
+    M, b, c = conic.M, conic.b, conic.c
     evals, evecs = np.linalg.eigh(M)
-    scale = float(np.sum(M * M) + b @ b + c * c) + 1e-300
-    branches = []
+    line_ts = np.linspace(-span, span, 2)
 
-    small = np.abs(evals) <= 1e-9 * math.sqrt(scale)
-    if small.all():
-        # purely linear: a single line b.w + c = 0
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return []
-        direction = np.array([-b[1], b[0]]) / nb
-        base = -c * b / nb**2
-        return [
-            [tuple(base + t * direction) for t in np.linspace(-span, span, 2)]
-        ]
-
-    if small.any():
-        # parabolic family: one flat direction
-        i1 = int(np.argmax(np.abs(evals)))
-        i0 = 1 - i1
-        l1 = evals[i1]
-        d1, d0 = evecs[:, i1], evecs[:, i0]
-        b1, b0 = float(b @ d1), float(b @ d0)
-        if abs(b0) <= 1e-9 * math.sqrt(scale):
-            # parallel / double lines: l1 y1^2 + b1 y1 + c = 0
-            disc = b1 * b1 - 4.0 * l1 * c
-            if disc < 0.0:
+    if conic.kind == "double-or-single-line":
+        scale = float(np.sum(M * M) + b @ b + c * c) + 1e-300
+        if np.all(np.abs(evals) <= 1e-9 * math.sqrt(scale)):
+            # M ~ 0: the single line b.w + c = 0
+            nb = np.linalg.norm(b)
+            if nb == 0.0:
                 return []
-            for root in sorted({(-b1 - math.sqrt(disc)) / (2 * l1), (-b1 + math.sqrt(disc)) / (2 * l1)}):
-                line = [
-                    tuple(root * d1 + t * d0) for t in np.linspace(-span, span, 2)
-                ]
-                branches.append(line)
-            return branches
-        ts = np.linspace(-span, span, samples)
-        chain = []
-        for y1 in ts:
-            y0 = -(l1 * y1 * y1 + b1 * y1 + c) / b0
-            chain.append(tuple(y1 * d1 + y0 * d0))
-        return [chain]
+            direction = np.array([-b[1], b[0]]) / nb
+            base = -c * b / nb**2
+            return [[tuple(base + t * direction) for t in line_ts]]
+    if conic.kind in ("parabola", "double-or-single-line"):
+        # one curved direction d1 and one flat direction d0
+        i1 = int(np.argmax(np.abs(evals)))
+        l1 = evals[i1]
+        d1, d0 = evecs[:, i1], evecs[:, 1 - i1]
+        b1, b0 = float(b @ d1), float(b @ d0)
+        if conic.kind == "parabola":
+            chain = []
+            for y1 in np.linspace(-span, span, samples):
+                y0 = -(l1 * y1 * y1 + b1 * y1 + c) / b0
+                chain.append(tuple(y1 * d1 + y0 * d0))
+            return [chain]
+        # parallel or double lines l1 y1^2 + b1 y1 = 0 (c = 0)
+        roots = sorted({(-b1 - abs(b1)) / (2 * l1), (-b1 + abs(b1)) / (2 * l1)})
+        return [[tuple(root * d1 + t * d0) for t in line_ts] for root in roots]
 
     center = np.linalg.solve(M, -b / 2.0)
     cprime = float(c + b @ center / 2.0)
-    l0, l1 = evals
-    d0, d1 = evecs[:, 0], evecs[:, 1]
-    if l0 * l1 > 0.0:
-        if cprime == 0.0:
-            return [[tuple(center)]]
+    if conic.kind == "degenerate-other":
+        return [[tuple(center)]]
+    if conic.kind == "ellipse":
+        (l0, l1), (d0, d1) = evals, evecs.T
         r0sq, r1sq = -cprime / l0, -cprime / l1
         if r0sq <= 0.0 or r1sq <= 0.0:
             return []  # imaginary ellipse
@@ -155,18 +144,15 @@ def _conic_branches(M, b, c, span=8.0, samples=129):
             ]
         ]
 
-    # hyperbola or crossing lines
-    if l0 < 0.0:
-        l0, l1 = l1, l0
-        d0, d1 = d1, d0
-    if abs(cprime) <= 1e-12 * math.sqrt(scale):
+    # hyperbola or two crossing lines: l0 > 0 > l1
+    (l1, l0), (d1, d0) = evals, evecs.T
+    branches = []
+    if conic.kind == "two-lines":
         slope = math.sqrt(-l0 / l1)
         for sgn in (1.0, -1.0):
             direction = d1 + sgn * slope * d0
             direction = direction / np.linalg.norm(direction)
-            branches.append(
-                [tuple(center + t * direction) for t in np.linspace(-span, span, 2)]
-            )
+            branches.append([tuple(center + t * direction) for t in line_ts])
         return branches
     tmax = math.asinh(span)
     ts = np.linspace(-tmax, tmax, samples)

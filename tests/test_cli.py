@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -42,6 +43,18 @@ def test_analyze_cross_cap(capsys):
     assert "invariants" in rep
 
 
+def test_analyze_cross_cap_has_a_parabola(capsys):
+    """|q1 x q2| = 2C/A = 4e-11 here, below PARALLEL_TOL = 1e-9, but the
+    Whitney test passes, so the curvature parabola is a parabola."""
+    code, out = run(
+        capsys, "analyze", "--germ", "1e5*u; u*v; 1e-6*v^2", "--point", "0,0"
+    )
+    assert code == 0
+    rep = last_json(out)
+    assert rep["whitney_umbrella"] is True
+    assert rep["curvature_parabola"]["kind"] == "parabola"
+
+
 def test_analyze_regular_point(capsys):
     code, out = run(
         capsys, "analyze", "--germ", MODEL_S1_PLUS, "--point", "0,0", "--s", "1"
@@ -81,6 +94,9 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         # a grid ratio this close to 1 leaves the Richardson limits unsettled
         ("trace", "--germ", "u; v^2; u^2 + v^3 + u^2*v + s*v",
          "--s-tilde-grid", "0.1:1.0000001:6"),
+        # the vertices are finite; the K-signs hit the cone's apex
+        ("mesh", "--germ", "u; v; sqrt(u^2 + v^2)", "--nu", "3", "--nv", "3",
+         "--k-sign"),
     ],
 )
 def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):
@@ -285,16 +301,33 @@ def test_trace_empty_locus_exit_zero(capsys, tmp_path):
 # -- focal -------------------------------------------------------------------------
 
 
+POLYLINE_LENGTHS = {"ellipse": [129], "hyperbola": [129, 129], "two-lines": [2, 2]}
+
+
 def test_focal_example4_kinds(capsys, tmp_path):
-    for s, kind in (("-1", "ellipse"), ("-0.2", "hyperbola"), ("0", "two-lines")):
+    """The drawing is the classified kind, also at s = -1e-12, where the
+    hyperbola is thin enough to pass for two crossing lines."""
+    for s, kind in (
+        ("-1", "ellipse"),
+        ("-0.2", "hyperbola"),
+        ("-1e-12", "hyperbola"),
+        ("0", "two-lines"),
+    ):
         code, out = run(
-            capsys, "focal", "--germ", EX4, "--s", s, "--out", str(tmp_path)
+            capsys, "focal", "--germ", EX4, f"--s={s}", "--out", str(tmp_path)
         )
         assert code == 0
         assert last_json(out)["conic"]["kind"] == kind
         svg = (tmp_path / "focal.svg").read_text()
         assert 'viewBox="-5 -5 10 10"' in svg
         assert kind in svg
+        chains = [
+            [tuple(map(float, xy.split(","))) for xy in points.split()]
+            for points in re.findall(r'<polyline points="([^"]*)"', svg)
+        ]
+        assert [len(chain) for chain in chains] == POLYLINE_LENGTHS[kind]
+        if kind == "ellipse":
+            assert chains[0][0] == pytest.approx(chains[0][-1], abs=1e-12)
 
 
 def test_focal_example5_parabola(capsys, tmp_path):

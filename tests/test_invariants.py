@@ -85,6 +85,22 @@ def test_invariants_on_model_locus(s1_plus):
     assert abs(inv.a02 - 50.0) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        # D's d_uuv^2 leaves the float range
+        ("u; u*v + 1e100*u^2; 1e100*v^2", (focal_conic, umbrella_invariants)),
+        # the invariants' C^2 leaves it while the scalars stay finite
+        ("u; 1e150*u*v; 1e5*v^2", (umbrella_invariants,)),
+    ],
+)
+def test_float_power_overflow_is_domain_error(source, calls):
+    f = MapGerm.parse(source)
+    for call in calls:
+        with pytest.raises(DomainError, match="float range"):
+            call(f, (0.0, 0.0))
+
+
 def test_invariants_reject_non_umbrella(s1_plus):
     with pytest.raises(DomainError, match="cross-cap"):
         umbrella_invariants(s1_plus.at_parameter(0.0), (0.0, 0.0))
@@ -150,10 +166,11 @@ def test_focal_conic_degenerates_at_s1(s1_plus):
 
 
 def test_focal_conic_determinants_are_whitney_scalars():
-    """det Q = A C^2 / 4 for the 3x3 conic matrix Q and det M = -D / (4A),
-    proved symbolically.  Both sides are invariant under rotations of R^3
-    and under the choice of orthonormal normal-plane basis, so f_u = a e1
-    with normal plane (e2, e3) is general."""
+    """det Q = A C^2 / 4 for the 3x3 conic matrix Q, det M = -D / (4A) and,
+    for the curvature parabola, |q1 x q2| = 2C/A, proved symbolically.  All
+    three are invariant under rotations of R^3 and under the choice of
+    orthonormal normal-plane basis, so f_u = a e1 with normal plane
+    (e2, e3) is general."""
     sp = pytest.importorskip("sympy")
     a = sp.Symbol("a", positive=True)
     f_u = sp.Matrix([a, 0, 0])
@@ -171,6 +188,9 @@ def test_focal_conic_determinants_are_whitney_scalars():
     D = triple(f_u, f_uu, f_vv) ** 2 + 4 * C * triple(f_u, f_uv, f_uu)
     assert sp.expand(Q.det() - A * C**2 / 4) == 0
     assert sp.expand(M.det() + D / (4 * A)) == 0
+    # the curvature parabola's q1 x q2 is 2C/A: a parabola exactly at cross-caps
+    q1, q2 = 2 * p_uv / a, p_vv
+    assert sp.expand(q1[0] * q2[1] - q1[1] * q2[0] - 2 * C / A) == 0
 
 
 def test_isometry_invariance(rng):
