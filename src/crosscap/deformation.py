@@ -363,7 +363,9 @@ def gauss_sign_probe(
     whose parameter must be normalized: the default theta grid times the
     default k grid, a fraction of the theta-dependent radius R.  When
     ``search_s0`` is set, a bisection locates the largest st in (0, 1/2]
-    for which every sample agrees.
+    for which every sample agrees.  An st with u(st) = 0 (st = 0, or st^2
+    below the float range) puts every sample at the S1 point and is a
+    DomainError.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
@@ -408,6 +410,10 @@ def _probe_once(nf, cs, st, thetas, k_fracs):
         return 0.0, (), float("nan")
     alpha1 = 1.0 / cs.c20
     u_st = min(roots, key=lambda r: abs(r - alpha1 * st))
+    if u_st == 0.0:
+        raise DomainError(
+            f"u(st) = 0 at st = {st:g}: every sample sits at the S1 point"
+        )
     c2 = cs.c20**2
     shoulder = c2 + 3.0 * cs.d2
     total = 0

@@ -13,7 +13,7 @@ the focal conic, which is non-degenerate exactly there and takes its
 kind from det M = -D/(4A).
 The ``(f, point)`` functions expand the germ once at the point and read
 from that object; the ``*_from_frame`` functions serve callers that
-already hold the derivatives, such as points of an assembled normal form.
+already hold the derivatives, such as points of a normal form.
 """
 
 from __future__ import annotations
@@ -282,10 +282,11 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
     p_uv = basis.T @ frame.f_uv
     p_vv = basis.T @ frame.f_vv
     # det Hess D^x = (w.f_uu - A)(w.f_vv) - (w.f_uv)^2, as a form in w
-    M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
-    b = -fs.A * p_vv
-    dM = float(np.linalg.det(M))
-    tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
+        b = -fs.A * p_vv
+        dM = float(np.linalg.det(M))
+        tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
     gap = abs(dM + fs.D / (4.0 * fs.A))
     if not math.isfinite(gap + tol):
         raise DomainError("focal conic entries beyond the float range")

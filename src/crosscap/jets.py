@@ -27,6 +27,8 @@ from .errors import DegeneracyError, DomainError, UsageError
 # Recorded in benchmark environment blocks; numpy is the only kernel.
 KERNEL_BACKEND = "python"
 
+DIVIDE_TOL = 1e-10  # relative remainder that makes divide_monomial refuse
+
 
 @lru_cache(maxsize=None)
 def _degrees(shape):
@@ -255,13 +257,13 @@ class Jet:
         out[tuple(idx)] = src
         return Jet(nvars, self.order, out, _trusted=True)
 
-    def divide_monomial(self, exponents, tol=1e-10):
+    def divide_monomial(self, exponents):
         """Exact division by a monomial with the given exponents, as a
         coefficient shift.
 
-        Any coefficient the division would discard must be below ``tol``
-        times the coefficient scale; a larger remainder means a
-        precondition of the caller was violated.
+        Any coefficient the division would discard must be below
+        ``DIVIDE_TOL`` times the coefficient scale; a larger remainder means
+        a precondition of the caller was violated.
         """
         if len(exponents) != self.nvars:
             raise UsageError("exponent arity mismatch")
@@ -281,7 +283,7 @@ class Jet:
             srcidx[axis] = slice(e, None)
             shifted[tuple(dst)] = c[tuple(srcidx)]
             c = shifted
-        if rem > tol * scale:
+        if rem > DIVIDE_TOL * scale:
             raise DegeneracyError(
                 f"monomial division by exponents {tuple(exponents)} leaves a "
                 f"remainder of size {rem:.3e}; the input violates the "

@@ -12,8 +12,10 @@ invariant asymptotics, focal conics) reads them off this form.
 Pipeline: align the kernel of df_0 with the v-axis, rotate the image line
 onto the x-axis, make the first component a coordinate, straighten the
 singular set of the (x, y) part by an implicit solve, rescale v so the
-quadratic part of the second component becomes exactly v^2, then split the
-components into the six coefficient series.
+quadratic part of the second component becomes exactly v^2, then check the
+two reduced components against the normal-form shape and store them in
+exactly that shape.  The six series are coefficient blocks of the stored
+components, read by slicing.
 """
 
 from __future__ import annotations
@@ -41,46 +43,52 @@ from .germs import (
 )
 from .jets import Jet, horner, implicit_solve, invert_coordinate, jet_sqrt
 
-SPLIT_TOL = 1e-10  # Hadamard-division remainders above this signal bad input
+SPLIT_TOL = 1e-10  # remainders off the normal-form shape above this signal bad input
 CLASS_TOL = 1e-9  # classification / degeneracy threshold on the discriminant
 
 
 # -- data types -----------------------------------------------------------------
 
 
+def _series(component, block):
+    """A normal-form series: the ``block`` of the named component's
+    coefficient cube, moved to the origin as a jet of the same order."""
+
+    def read(nf) -> Jet:
+        c = getattr(nf, component).c[block]
+        pad = [(0, nf.order + 1 - n) for n in c.shape]
+        return Jet(c.ndim, nf.order, np.pad(c, pad), _trusted=True)
+
+    return cached_property(read)
+
+
 @dataclass(frozen=True)
 class NormalFormData:
-    """Rotation, source-change log, and the six coefficient series."""
+    """Rotation, source-change log, and the components y, z in (u, v, s),
+    stored in exactly the normal-form shape; the six coefficient series
+    are coefficient blocks of them."""
 
     rotation: np.ndarray
     source_steps: tuple
-    f21: Jet  # in u
-    f24: Jet  # in (u, s)
-    f31: Jet  # in u
-    f32: Jet  # in (u, v, s)
-    f33: Jet  # in (u, s)
-    f34: Jet  # in (u, s)
+    jy: Jet
+    jz: Jet
     order: int
     parameter_normalized: bool = False
 
     def components(self):
-        """Assembled normal-form jets (x, y, z) in (u, v, s)."""
-        n = self.order
-        u3, v3, s3 = Jet.coordinates(3, n)
-        uu = u3 * u3
-        us = u3 * s3
-        jy = uu * self.f21.embed(3, (0,)) + v3 * v3 + us * self.f24.embed(3, (0, 2))
-        jz = (
-            uu * self.f31.embed(3, (0,))
-            + v3 * v3 * self.f32
-            + v3 * self.f33.embed(3, (0, 2))
-            + us * self.f34.embed(3, (0, 2))
-        )
-        return u3, jy, jz
+        """Normal-form jets (x, y, z) in (u, v, s)."""
+        return Jet.variable(0, 3, self.order), self.jy, self.jz
+
+    f21 = _series("jy", np.s_[2:, 0, 0])  # in u
+    f24 = _series("jy", np.s_[1:, 0, 1:])  # in (u, s)
+    f31 = _series("jz", np.s_[2:, 0, 0])  # in u
+    f32 = _series("jz", np.s_[:, 2:, :])  # in (u, v, s)
+    f33 = _series("jz", np.s_[:, 1, :])  # in (u, s)
+    f34 = _series("jz", np.s_[1:, 0, 1:])  # in (u, s)
 
     @cached_property
     def _partials(self):
-        """Coefficient cubes of d_u, d_v, d_uu, d_uv, d_vv of each assembled
+        """Coefficient cubes of d_u, d_v, d_uu, d_uv, d_vv of each
         component (3 x 5 x cube), built on first use."""
         table = []
         for j in self.components():
@@ -91,8 +99,8 @@ class NormalFormData:
         return np.array(table)
 
     def derivatives(self, point) -> PointDerivatives:
-        """First and second derivatives in (u, v) of the assembled normal
-        form at the source point ``(u, v, s)``."""
+        """First and second derivatives in (u, v) of the normal form at the
+        source point ``(u, v, s)``."""
         if len(point) != 3:
             raise UsageError(f"point arity {len(point)} != 3")
         vals = horner(self._partials, point)  # 3 x 5
@@ -244,63 +252,72 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     steps.append(("source_shift_v", sigma))
 
     # rescale v so that f2 = f2(u, 0, s) + v^2 exactly
-    g = (jets[1] - jets[1].restrict(1)).divide_monomial((0, 2, 0), SPLIT_TOL)
+    g = (jets[1] - jets[1].restrict(1)).divide_monomial((0, 2, 0))
     W = invert_coordinate(v3 * jet_sqrt(g), 1)
     rescale = [u3, W, s3]
     jets = [u3, jets[1].compose(rescale), jets[2].compose(rescale)]
     steps.append(("source_rescale_v", W))
 
-    splits = _split_components(jets[1], jets[2], order)
-    nf = NormalFormData(
+    jy, jz = _project(jets[1], jets[2])
+    return NormalFormData(
         rotation=T2 @ T1,
         source_steps=tuple(steps),
+        jy=jy,
+        jz=jz,
         order=order,
         parameter_normalized=False,
-        **splits,
     )
-    _check_reassembly(nf, jets)
-    return nf
 
 
-def _split_components(jy, jz, order):
-    """Split the reduced components into the six coefficient series."""
-    f2_u0s = jy.subs(1, 0.0)  # (u, s)
-    f2_u00 = f2_u0s.subs(1, 0.0)  # (u,)
-    f21 = f2_u00.divide_monomial((2,), SPLIT_TOL)
-    f24 = (f2_u0s - f2_u00.embed(2, (0,))).divide_monomial((1, 1), SPLIT_TOL)
+def _project(jy, jz):
+    """Check the reduced components (y, z) against the normal-form shape
+    and return them in exactly that shape.
 
-    f3_u0s = jz.subs(1, 0.0)
-    f3_u00 = f3_u0s.subs(1, 0.0)
-    f31 = f3_u00.divide_monomial((2,), SPLIT_TOL)
-    f34 = (f3_u0s - f3_u00.embed(2, (0,))).divide_monomial((1, 1), SPLIT_TOL)
-
-    f33 = jz.partial(1).subs(1, 0.0)  # (u, s)
-    f32 = (
-        jz - f3_u0s.embed(3, (0, 2)) - Jet.variable(1, 3, order) * f33.embed(3, (0, 2))
-    ).divide_monomial((0, 2, 0), SPLIT_TOL)
+    At v = 0 the pure-u part of each component must be divisible by u^2
+    and its s-part by u s; a remainder there means the input violates the
+    divisibility the reduction relies on.  The v-part of y must be v^2; a
+    remainder there means the reduction itself went wrong.  The returned
+    jets have the remainders zeroed and the v^2 cell of y set to 1.
+    """
+    for name, j in (("y", jy), ("z", jz)):
+        col, face = j.c[:, 0, 0], j.c[:, 0, 1:]
+        for part, block, rem, mono in (("pure-u", col, col[:2], "u^2"),
+                                       ("s", face, face[0], "u*s")):
+            size = float(np.max(np.abs(rem)))
+            if size > SPLIT_TOL * (1.0 + float(np.max(np.abs(block)))):
+                raise DegeneracyError(
+                    f"the {part} part of the reduced {name} component leaves a "
+                    f"remainder of size {size:.3e} on division by {mono}; the "
+                    "input violates the divisibility this step relies on"
+                )
 
     scale = 1.0 + max(jy.max_abs(), jz.max_abs())
-    if abs(f33.c[0, 0]) > SPLIT_TOL * scale:
+    if abs(jz.c[0, 1, 0]) > SPLIT_TOL * scale:
         raise ConsistencyError("f33(0,0) did not vanish after reduction")
-    if abs(f33.c[1, 0]) > SPLIT_TOL * scale:
+    if abs(jz.c[1, 1, 0]) > SPLIT_TOL * scale:
         raise DegeneracyError(
             "the u*v coefficient survives the reduction: the germ at "
             "parameter 0 is a cross-cap, not an S1-type singularity"
         )
-    if abs(f32.c[0, 0, 0]) > SPLIT_TOL * scale:
+    if abs(jz.c[0, 2, 0]) > SPLIT_TOL * scale:
         raise ConsistencyError("f32(0,0,0) did not vanish after reduction")
-
-    return dict(f21=f21, f24=f24, f31=f31, f32=f32, f33=f33, f34=f34)
-
-
-def _check_reassembly(nf, jets):
-    _, jy, jz = nf.components()
-    scale = 1.0 + max(jets[1].max_abs(), jets[2].max_abs())
-    dev = max(np.max(np.abs(jy.c - jets[1].c)), np.max(np.abs(jz.c - jets[2].c)))
+    vpart = jy.c[:, 1:, :].copy()
+    vpart[0, 1, 0] -= 1.0
+    dev = float(np.max(np.abs(vpart)))
     if dev > SPLIT_TOL * scale:
         raise ConsistencyError(
-            f"reassembled normal form deviates from the reduced jets by {dev:.3e}"
+            f"the reduced y component deviates from y(u, 0, s) + v^2 by {dev:.3e}"
         )
+
+    y = np.zeros_like(jy.c)
+    y[:, 0, :] = jy.c[:, 0, :]
+    y[0, 2, 0] = 1.0
+    z = jz.c.copy()
+    for c in (y, z):
+        c[0, 0, :] = c[1, 0, 0] = 0.0
+        c.setflags(write=False)  # every components() caller shares them
+    order = jy.order
+    return Jet(3, order, y, _trusted=True), Jet(3, order, z, _trusted=True)
 
 
 # -- classification and coefficients ------------------------------------------------
@@ -322,8 +339,8 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
     """Reparametrize s so that f33(0, s) = s.
 
     Requires (d f33/ds)(0,0) != 0; the new parameter is the series inverse
-    of s -> f33(0, s), substituted into every component, after which the
-    six series are re-split.
+    of s -> f33(0, s), substituted into both components, which are then
+    projected onto the normal-form shape again.
     """
     order = nf.order
     h = Jet(1, order, nf.f33.c[0, :].copy())
@@ -332,16 +349,16 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
             "cannot normalize the deformation parameter: d f33/ds (0,0) = 0"
         )
     hinv = invert_coordinate(h, 0)
-    u3, v3, s3 = Jet.coordinates(3, order)
+    u3, v3, _ = Jet.coordinates(3, order)
     sub = [u3, v3, hinv.embed(3, (2,))]
-    _, jy, jz = nf.components()
-    splits = _split_components(jy.compose(sub), jz.compose(sub), order)
+    jy, jz = _project(nf.jy.compose(sub), nf.jz.compose(sub))
     out = NormalFormData(
         rotation=nf.rotation,
         source_steps=nf.source_steps + (("reparametrize_s", hinv),),
+        jy=jy,
+        jz=jz,
         order=order,
         parameter_normalized=True,
-        **splits,
     )
     dev = np.max(np.abs(out.f33.c[0, :] - np.eye(order + 1)[1]))
     if dev > SPLIT_TOL * (1.0 + out.f33.max_abs()):
@@ -390,53 +407,13 @@ _MONOMIAL_NAMES = (
 
 def monomial_coefficients(nf: NormalFormData) -> dict:
     """Constant and s-linear parts of the monomial coefficients of the
-    normal form, computed two ways and cross-checked.
-
-    Route one re-expands the assembled components; route two reads the
-    same data off the six coefficient series.  The b's are the pure-u
-    coefficients of the second component minus v^2, the a_ij the u^i v^j
-    coefficients of the third.
-    """
-    _, jy, jz = nf.components()
-    route1 = {
-        "b1": (jy.c[1, 0, 0], jy.c[1, 0, 1]),
-        "b2": (jy.c[2, 0, 0], jy.c[2, 0, 1]),
-        "b3": (jy.c[3, 0, 0], jy.c[3, 0, 1]),
-        "a10": (jz.c[1, 0, 0], jz.c[1, 0, 1]),
-        "a01": (jz.c[0, 1, 0], jz.c[0, 1, 1]),
-        "a20": (jz.c[2, 0, 0], jz.c[2, 0, 1]),
-        "a11": (jz.c[1, 1, 0], jz.c[1, 1, 1]),
-        "a02": (jz.c[0, 2, 0], jz.c[0, 2, 1]),
-        "a30": (jz.c[3, 0, 0], jz.c[3, 0, 1]),
-        "a21": (jz.c[2, 1, 0], jz.c[2, 1, 1]),
-        "a12": (jz.c[1, 2, 0], jz.c[1, 2, 1]),
-        "a03": (jz.c[0, 3, 0], jz.c[0, 3, 1]),
-    }
-    f21, f24, f31, f32, f33, f34 = nf.f21, nf.f24, nf.f31, nf.f32, nf.f33, nf.f34
-    route2 = {
-        "b1": (0.0, f24.c[0, 0]),
-        "b2": (f21.c[0], f24.c[1, 0]),
-        "b3": (f21.c[1], f24.c[2, 0]),
-        "a10": (0.0, f34.c[0, 0]),
-        "a01": (0.0, f33.c[0, 1]),
-        "a20": (f31.c[0], f34.c[1, 0]),
-        "a11": (0.0, f33.c[1, 1]),
-        "a02": (0.0, f32.c[0, 0, 1]),
-        "a30": (f31.c[1], f34.c[2, 0]),
-        "a21": (f33.c[2, 0], f33.c[2, 1]),
-        "a12": (f32.c[1, 0, 0], f32.c[1, 0, 1]),
-        "a03": (f32.c[0, 1, 0], f32.c[0, 1, 1]),
-    }
+    normal form: b_i is the u^i coefficient of the second component minus
+    v^2, a_ij the u^i v^j coefficient of the third."""
     out = {}
     for name in _MONOMIAL_NAMES:
-        r1, r2 = route1[name], route2[name]
-        dev = max(abs(r1[0] - r2[0]), abs(r1[1] - r2[1]))
-        if dev > 1e-9:
-            raise ConsistencyError(
-                f"monomial coefficient {name} disagrees between the two "
-                f"routes by {dev:.3e}"
-            )
-        out[name] = (float(r1[0]), float(r1[1]))
+        jet = nf.jy if name[0] == "b" else nf.jz
+        i, j = int(name[1]), int(name[2:] or 0)
+        out[name] = (float(jet.c[i, j, 0]), float(jet.c[i, j, 1]))
     return out
 
 

@@ -97,6 +97,9 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         # the vertices are finite; the K-signs hit the cone's apex
         ("mesh", "--germ", "u; v; sqrt(u^2 + v^2)", "--nu", "3", "--nv", "3",
          "--k-sign"),
+        # u(st) = 0: every sample would sit at the S1 point
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "0"),
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "1e-200"),
     ],
 )
 def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):

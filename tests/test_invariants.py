@@ -90,8 +90,9 @@ def test_invariants_on_model_locus(s1_plus):
     [
         # D's d_uuv^2 leaves the float range
         ("u; u*v + 1e100*u^2; 1e100*v^2", (focal_conic, umbrella_invariants)),
-        # the invariants' C^2 leaves it while the scalars stay finite
-        ("u; 1e150*u*v; 1e5*v^2", (umbrella_invariants,)),
+        # the invariants' C^2 and the focal conic's tolerance leave it while
+        # the scalars stay finite
+        ("u; 1e150*u*v; 1e5*v^2", (focal_conic, umbrella_invariants)),
     ],
 )
 def test_float_power_overflow_is_domain_error(source, calls):

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from crosscap.errors import DegeneracyError, GenericityError, UsageError
+from crosscap.errors import (
+    ConsistencyError,
+    DegeneracyError,
+    GenericityError,
+    UsageError,
+)
 from crosscap.germs import MapGerm, parse_expr
+from crosscap.jets import Jet
 
 from crosscap.normal_form import (
     DiffeoSpec,
+    _project,
     apply_equivalence,
     classify,
     monomial_coefficients,
@@ -88,6 +95,92 @@ def test_moving_singular_curve_reported_not_repaired():
     f = MapGerm.parse("u; v^2 + s*v; v^3 + u^2*v + s*v")
     with pytest.raises(DegeneracyError, match="divisibility"):
         reduce(f)
+
+
+# -- the stored components against the series ---------------------------------------
+
+
+def reassemble(nf):
+    """The normal form rebuilt from its six series by jet arithmetic."""
+    u3, v3, s3 = Jet.coordinates(3, nf.order)
+    uu, us = u3 * u3, u3 * s3
+    jy = uu * nf.f21.embed(3, (0,)) + v3 * v3 + us * nf.f24.embed(3, (0, 2))
+    jz = (
+        uu * nf.f31.embed(3, (0,))
+        + v3 * v3 * nf.f32
+        + v3 * nf.f33.embed(3, (0, 2))
+        + us * nf.f34.embed(3, (0, 2))
+    )
+    return u3, jy, jz
+
+
+def series_monomials(nf):
+    """The monomial coefficients read off the six series."""
+    f21, f24, f31, f32, f33, f34 = nf.f21, nf.f24, nf.f31, nf.f32, nf.f33, nf.f34
+    return {
+        "b1": (0.0, f24.c[0, 0]),
+        "b2": (f21.c[0], f24.c[1, 0]),
+        "b3": (f21.c[1], f24.c[2, 0]),
+        "a10": (0.0, f34.c[0, 0]),
+        "a01": (0.0, f33.c[0, 1]),
+        "a20": (f31.c[0], f34.c[1, 0]),
+        "a11": (0.0, f33.c[1, 1]),
+        "a02": (0.0, f32.c[0, 0, 1]),
+        "a30": (f31.c[1], f34.c[2, 0]),
+        "a21": (f33.c[2, 0], f33.c[2, 1]),
+        "a12": (f32.c[1, 0, 0], f32.c[1, 0, 1]),
+        "a03": (f32.c[0, 1, 0], f32.c[0, 1, 1]),
+    }
+
+
+def model_normal_forms(s1_plus, s1_minus, rng):
+    """The models and three seeded equivalences of each, reduced and
+    parameter-normalized."""
+    out = []
+    for f in (s1_plus, s1_minus):
+        germs = [f] + [
+            apply_equivalence(f, random_diffeo(rng), random_rotation(rng))
+            for _ in range(3)
+        ]
+        for g in germs:
+            nf = reduce(g)
+            out += [nf, normalize_parameter(nf)]
+    return out
+
+
+def test_components_equal_the_series_reassembly(s1_plus, s1_minus, rng):
+    for nf in model_normal_forms(s1_plus, s1_minus, rng):
+        for got, want in zip(nf.components(), reassemble(nf)):
+            assert got.c.tobytes() == want.c.tobytes()
+
+
+def test_monomials_equal_the_series_read(s1_plus, s1_minus, rng):
+    """Exact agreement, except that the series read takes the constant
+    parts of a01 = f33(0,0), a11 (the u v coefficient) and a02 = f32(0,0,0)
+    as 0, where the reduction only bounds them."""
+    bounded = ("a01", "a11", "a02")
+    for nf in model_normal_forms(s1_plus, s1_minus, rng):
+        got, want = monomial_coefficients(nf), series_monomials(nf)
+        for name, (c0, c1) in want.items():
+            if name in bounded:
+                assert abs(got[name][0]) <= 1e-10 and got[name][1] == c1
+            else:
+                assert got[name] == (c0, c1), name
+
+
+def test_projection_checks_the_shape():
+    u, v, s = Jet.coordinates(3, 6)
+    jz = u * u + v * v * v + u * u * v + v * s
+    # rounding-sized remainders are removed and v^2 is made exact
+    noisy = u * u + (1.0 + 1e-15) * v * v + 1e-14 * (u * v + s * s)
+    jy, _ = _project(noisy, jz)
+    assert jy.c.tobytes() == (u * u + v * v).c.tobytes()
+    # a pure-s term in y is not divisible by u s: bad input
+    with pytest.raises(DegeneracyError, match="divisibility"):
+        _project(u * u + v * v + s * s, jz)
+    # a u v term in y contradicts the v^2 rescale: the reduction went wrong
+    with pytest.raises(ConsistencyError, match="v\\^2"):
+        _project(u * u + v * v + 1e-3 * u * v, jz)
 
 
 # -- classification -----------------------------------------------------------------
