@@ -374,19 +374,20 @@ def gauss_sign_probe(
         raise DomainError("the sign law needs f31(0) != 0")
     thetas = default_theta_grid()
     k_fracs = default_k_grid()
+    trig = _theta_trig(thetas)
 
-    agreement, mismatches, u_st = _probe_once(nf, cs, s_tilde, thetas, k_fracs)
+    agreement, mismatches, u_st = _probe_once(nf, cs, s_tilde, thetas, k_fracs, trig)
 
     st_max = None
     if search_s0:
         lo, hi = 0.0, 0.5
-        ok_hi, _, _ = _probe_once(nf, cs, hi, thetas, k_fracs)
+        ok_hi, _, _ = _probe_once(nf, cs, hi, thetas, k_fracs, trig)
         if ok_hi == 1.0:
             st_max = hi
         else:
             for _ in range(20):
                 mid = 0.5 * (lo + hi)
-                ok, _, _ = _probe_once(nf, cs, mid, thetas, k_fracs)
+                ok, _, _ = _probe_once(nf, cs, mid, thetas, k_fracs, trig)
                 if ok == 1.0:
                     lo = mid
                 else:
@@ -403,7 +404,17 @@ def gauss_sign_probe(
     )
 
 
-def _probe_once(nf, cs, st, thetas, k_fracs):
+def _theta_trig(thetas):
+    """sin, cos and sin^2 of the probe angles, through libm and Python's
+    float ``**`` (numpy's ``power`` rounds x^2 differently on some x)."""
+    sines = [math.sin(t) for t in thetas]
+    cosines = [math.cos(t) for t in thetas]
+    return np.array(sines), np.array(cosines), np.array([x**2 for x in sines])
+
+
+def _probe_once(nf, cs, st, thetas, k_fracs, trig):
+    """Sign agreement on the theta x k grid at one st; all samples share
+    s = -st^2 and are evaluated as one batch."""
     s = -st * st
     _, roots = _locus_roots(nf, s)
     if not roots:
@@ -414,25 +425,29 @@ def _probe_once(nf, cs, st, thetas, k_fracs):
         raise DomainError(
             f"u(st) = 0 at st = {st:g}: every sample sits at the S1 point"
         )
+    sin_t, cos_t, sin2_t = trig
     c2 = cs.c20**2
     shoulder = c2 + 3.0 * cs.d2
-    total = 0
-    bad = []
-    for theta in thetas:
-        if shoulder > 0.0:
-            R = 1.0
-        else:
-            R = math.sqrt(c2 / (-math.sin(theta) ** 2 * shoulder + c2))
-        predicted = math.copysign(1.0, st * math.sin(theta) * cs.f31_0)
-        for frac in k_fracs:
-            r = frac * R * u_st
-            point = (r * math.cos(theta), r * math.sin(theta), s)
-            K = form_bundle_from(nf.derivatives(point)).K
-            total += 1
-            if math.copysign(1.0, K) != predicted:
-                bad.append((float(theta), float(frac), float(K)))
-    agreement = 1.0 - len(bad) / total
-    return agreement, tuple(bad), u_st
+    if shoulder > 0.0:
+        R = np.ones_like(sin_t)
+    else:
+        R = np.sqrt(c2 / (-sin2_t * shoulder + c2))
+    predicted = np.copysign(1.0, st * sin_t * cs.f31_0)
+    r = k_fracs * R[:, None] * u_st  # theta x k
+    u, v = (r * cos_t[:, None]).ravel(), (r * sin_t[:, None]).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = form_bundle_from(nf.derivatives((u, v, s))).K
+    n_k = len(k_fracs)
+    bad = np.copysign(1.0, K) != np.repeat(predicted, n_k)
+    mismatches = tuple(
+        zip(
+            np.repeat(thetas, n_k)[bad].tolist(),
+            np.tile(k_fracs, len(thetas))[bad].tolist(),
+            K[bad].tolist(),
+        )
+    )
+    agreement = 1.0 - len(mismatches) / K.size
+    return agreement, mismatches, u_st
 
 
 # -- trajectory geometry ---------------------------------------------------------------

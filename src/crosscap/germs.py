@@ -5,8 +5,11 @@ A germ is a triple of expressions in (u, v); a deformation additionally
 uses the parameter s and must fix the origin along the parameter axis.
 Jets of a germ are computed by evaluating the expression tree in jet
 arithmetic, so every Taylor coefficient comes from the exact chain rule.
-``PointDerivatives`` holds the first and second derivatives at one point
-and is the only place they are read out of jets.
+``PointDerivatives`` holds the first and second derivatives at one point,
+or at each of N points along a leading batch axis, and is the only place
+they are read out of jets.  Values, jets and derivatives at an (N, nvars)
+array of points come from one walk of the expression tree over the whole
+batch, with the same floating-point operations per point as N walks.
 """
 
 from __future__ import annotations
@@ -311,7 +314,16 @@ def print_expr(node) -> str:
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_number(node, env) -> float:
+def eval_number(node, env):
+    """Value of the tree at the point ``env`` (name to value).
+
+    The values may be floats or 1-d arrays of one length N, the coordinates
+    of N points; the result is then an array of N values (or a float where
+    the subtree is constant).  Powers and square roots go through Python's
+    float ``**`` element by element: numpy's ``power`` and ``sqrt`` round
+    differently on some inputs, and every point must get the value its own
+    evaluation would.
+    """
     if isinstance(node, Num):
         return float(node.value)
     if isinstance(node, Var):
@@ -324,25 +336,35 @@ def eval_number(node, env) -> float:
         return eval_number(node.left, env) * eval_number(node.right, env)
     if isinstance(node, Div):
         denom = eval_number(node.right, env)
-        if denom == 0.0:
+        if np.any(denom == 0.0):
             raise DomainError("division by zero while evaluating a germ")
         return eval_number(node.left, env) / denom
     if isinstance(node, Neg):
         return -eval_number(node.arg, env)
     if isinstance(node, Pow):
         base = eval_number(node.base, env)
-        if node.exponent < 0 and base == 0.0:
+        if node.exponent < 0 and np.any(base == 0.0):
             raise DomainError("zero raised to a negative power")
-        try:
-            return base ** node.exponent
-        except OverflowError:
-            raise DomainError(f"{base:.3e}^{node.exponent} overflows") from None
+        return _float_pow(base, node.exponent)
     if isinstance(node, Sqrt):
         arg = eval_number(node.arg, env)
-        if arg < 0.0:
-            raise DomainError(f"sqrt of a negative value {arg:.3e}")
-        return arg ** 0.5
+        negative = np.less(arg, 0.0)
+        if np.any(negative):
+            raise DomainError(
+                f"sqrt of a negative value {np.extract(negative, arg)[0]:.3e}"
+            )
+        return _float_pow(arg, 0.5)
     raise UsageError(f"cannot evaluate node {node!r}")
+
+
+def _float_pow(base, exponent):
+    """Python's float ``base ** exponent``, element by element on an array."""
+    if not isinstance(base, np.ndarray):
+        try:
+            return base ** exponent
+        except OverflowError:
+            raise DomainError(f"{base:.3e}^{exponent} overflows") from None
+    return np.array([_float_pow(b, exponent) for b in base.tolist()])
 
 
 def eval_jet(node, env) -> Jet:
@@ -451,27 +473,55 @@ class MapGerm:
     def print_form(self) -> str:
         return "; ".join(print_expr(e) for e in self.components)
 
+    def _coordinates(self, point):
+        """The batch shape and the coordinates of ``point``: () and one
+        float per variable, or (N,) and the nvars columns of an (N, nvars)
+        array of N points."""
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.nvars:
+            arity = pts.shape[-1] if pts.ndim else 0
+            raise UsageError(f"point arity {arity} != {self.nvars}")
+        if pts.ndim == 1:
+            return (), pts.tolist()
+        return pts.shape[:1], list(pts.T)
+
     def evaluate(self, point) -> np.ndarray:
-        env = dict(zip(_VARS[: self.nvars], map(float, point)))
-        if len(point) != self.nvars:
-            raise UsageError(f"point arity {len(point)} != {self.nvars}")
-        values = np.array([eval_number(e, env) for e in self.components])
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"non-finite germ value at {[float(x) for x in point]}")
+        """Values at ``point``, shape (3,); at an (N, nvars) array of
+        points, shape (N, 3).  A non-finite value is a DomainError naming
+        the first point that has one."""
+        batch, coords = self._coordinates(point)
+        env = dict(zip(_VARS, coords))
+        values = np.empty(batch + (3,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, e in enumerate(self.components):
+                values[..., k] = eval_number(e, env)
+        finite = np.isfinite(values).all(axis=-1)
+        if not np.all(finite):
+            bad = np.reshape(point, (-1, self.nvars))[np.argmin(finite.ravel())]
+            raise DomainError(f"non-finite germ value at {[float(x) for x in bad]}")
         return values
 
     def jet_at(self, point, order) -> tuple:
-        """Taylor jets of the three components about ``point``."""
-        if len(point) != self.nvars:
-            raise UsageError(f"point arity {len(point)} != {self.nvars}")
+        """Taylor jets of the three components about ``point``; about an
+        (N, nvars) array of points they are batched jets, one row per point."""
+        nv = self.nvars
+        batch, coords = self._coordinates(point)
         env = {
-            name: Jet.variable(i, self.nvars, order) + float(point[i])
-            for i, name in enumerate(_VARS[: self.nvars])
+            name: Jet.constant(x, nv, order) + Jet.variable(i, nv, order)
+            for i, (name, x) in enumerate(zip(_VARS, coords))
         }
-        return tuple(eval_jet(e, env) for e in self.components)
+        jets = tuple(eval_jet(e, env) for e in self.components)
+        if batch:  # a component free of the variables is one jet for all rows
+            cube = (order + 1,) * nv
+            jets = tuple(
+                Jet(nv, order, np.broadcast_to(j.c, batch + cube), _trusted=True)
+                for j in jets
+            )
+        return jets
 
     def derivatives(self, point) -> "PointDerivatives":
-        """First and second derivatives at ``point`` from one order-2 jet."""
+        """First and second derivatives at ``point`` (or at each of an
+        (N, nvars) array of points) from one order-2 jet."""
         return PointDerivatives.from_jets(self.jet_at(point, 2))
 
     def at_parameter(self, s0) -> "MapGerm":
@@ -523,18 +573,22 @@ RANK_TOL = 1e-9  # singular value below RANK_TOL * (sigma_max + 1) counts as zer
 
 @dataclass(frozen=True)
 class PointDerivatives:
-    """First and second derivatives in (u, v) of a map into R^3 at one point.
+    """First and second derivatives in (u, v) of a map into R^3 at one point,
+    or at each of N points.
 
-    ``grad[c, i]`` is d f_c / d x_i and ``hess[c, i, j]`` is
+    ``grad[..., c, i]`` is d f_c / d x_i and ``hess[..., c, i, j]`` is
     d^2 f_c / d x_i d x_j with x = (u, v); a further parameter variable,
-    if any, is held fixed.  This is the one source of pointwise derivative
-    data: rank, kernel, the second-order frame and everything built on it
-    are read from here; ``MapGerm.derivatives`` and
-    ``NormalFormData.derivatives`` build it.  Non-finite entries raise DomainError.
+    if any, is held fixed.  At N points the arrays carry a leading batch
+    axis, shapes (N, 3, 2) and (N, 3, 2, 2).  This is the one source of
+    pointwise derivative data: rank, kernel, the second-order frame and
+    everything built on it are read from here (``rank`` and
+    ``null_vector`` at one point); ``MapGerm.derivatives`` and
+    ``NormalFormData.derivatives`` build it.  Non-finite entries raise
+    DomainError.
     """
 
-    grad: np.ndarray  # 3 x 2
-    hess: np.ndarray  # 3 x 2 x 2
+    grad: np.ndarray  # 3 x 2, or N x 3 x 2
+    hess: np.ndarray  # 3 x 2 x 2, or N x 3 x 2 x 2
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.grad)) and np.all(np.isfinite(self.hess))):
@@ -542,14 +596,14 @@ class PointDerivatives:
 
     @classmethod
     def from_jets(cls, jets) -> "PointDerivatives":
-        """Read the low coefficients of three jets expanded about the point,
-        with u and v as their first two variables."""
+        """Read the low coefficients of three jets expanded about the point
+        (or batched about N points), with u and v as their first two
+        variables."""
         pad = (0,) * (jets[0].nvars - 2)
-        low = [j.c[(slice(0, 3), slice(0, 3)) + pad] for j in jets]
-        grad = np.array([[c[1, 0], c[0, 1]] for c in low])
-        hess = np.array(
-            [[[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]] for c in low]
-        )
+        cubes = [j.c[(..., slice(0, 3), slice(0, 3)) + pad] for j in jets]
+        low = np.stack(np.broadcast_arrays(*cubes), axis=-3)  # ... x component x 3 x 3
+        grad = low[..., [1, 0], [0, 1]]
+        hess = low[..., [[2, 1], [1, 0]], [[0, 1], [1, 2]]] * [[2.0, 1.0], [1.0, 2.0]]
         return cls(grad, hess)
 
     def rank(self) -> int:

@@ -307,7 +307,8 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
 class FormBundle:
     """First-form scalars, normal-scaled second-form scalars and their
     discriminant K = L N - M^2, whose sign is the Gaussian-curvature sign
-    away from singular points."""
+    away from singular points.  Built from derivatives at N points, every
+    field is an array of N values."""
 
     E1: float
     F1: float
@@ -322,19 +323,25 @@ def form_bundle(f: MapGerm, point) -> FormBundle:
     return form_bundle_from(f.derivatives(point))
 
 
+def _dot(a, b):
+    """Row-wise a . b over a leading batch axis; matmul of 1 x 3 by 3 x 1
+    rounds as the unbatched ``a @ b`` does (a plain sum of a * b does not)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def form_bundle_from(d: PointDerivatives) -> FormBundle:
-    f_u, f_v = d.grad.T
-    f_uu, f_uv, f_vv = d.hess[:, 0, 0], d.hess[:, 0, 1], d.hess[:, 1, 1]
-    normal = np.cross(f_u, f_v)
-    L = float(f_uu @ normal)
-    M = float(f_uv @ normal)
-    N_ = float(f_vv @ normal)
-    return FormBundle(
-        E1=float(f_u @ f_u),
-        F1=float(f_u @ f_v),
-        G1=float(f_v @ f_v),
-        L=L,
-        M=M,
-        N_=N_,
-        K=L * N_ - M * M,
-    )
+    """The forms at one point or, from batched derivatives, at N points.
+    A field beyond the float range is a DomainError."""
+    f_u, f_v = d.grad[..., 0], d.grad[..., 1]
+    f_uu, f_uv, f_vv = d.hess[..., 0, 0], d.hess[..., 0, 1], d.hess[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = np.cross(f_u, f_v)
+        L, M, N_ = _dot(f_uu, normal), _dot(f_uv, normal), _dot(f_vv, normal)
+        fields = (
+            _dot(f_u, f_u), _dot(f_u, f_v), _dot(f_v, f_v), L, M, N_, L * N_ - M * M
+        )
+    finite = np.isfinite(fields).all(axis=0)
+    if not np.all(finite):
+        where = f" at sample {np.argmin(finite)}" if finite.ndim else ""
+        raise DomainError(f"fundamental forms beyond the float range{where}")
+    return FormBundle(*fields)

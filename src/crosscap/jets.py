@@ -12,6 +12,15 @@ Newton solve, is one numpy reduction over a cached table of the cell
 pairs whose degrees sum to at most ``order`` (the index-table form of
 truncated Taylor arithmetic, Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).
+
+A jet may also carry a leading batch axis, ``c`` of shape ``(N, *cube)``:
+N jets about N base points, propagated together (vector-mode Taylor
+arithmetic, ibid.).  The ring operations, ``jet_recip`` and ``jet_sqrt``
+accept batched jets and mix them with unbatched ones; each row gets
+exactly the floating-point operations, in the same order, that the row
+would get on its own.  The calculus and coefficient methods read one cube
+and need unbatched jets.  ``horner`` likewise evaluates at arrays of
+points.
 """
 
 from __future__ import annotations
@@ -63,8 +72,27 @@ def _product_table(shape, order):
     return p, q, k
 
 
+@lru_cache(maxsize=2)  # a mesh's batch and the probe's; ~0.4 kB per row at order 2
+def _batched_table(shape, order, n):
+    """``_product_table`` for n stacked cubes: row r's flat cells are
+    offset by r * size, so the product stays one ``np.bincount`` and every
+    cell still sums its pairs in the p-then-q order of the single table."""
+    offsets = np.arange(n)[:, None] * math.prod(shape)
+    tables = tuple((t + offsets).ravel() for t in _product_table(shape, order))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _origin(c, nvars):
+    """Index of the constant term of a coefficient table (of every row of a
+    batch)."""
+    return (0,) * nvars if c.ndim == nvars else (slice(None),) + (0,) * nvars
+
+
 class Jet:
-    """Dense truncated Taylor polynomial in 1, 2 or 3 variables."""
+    """Dense truncated Taylor polynomial in 1, 2 or 3 variables, or a batch
+    of them along a leading axis."""
 
     __slots__ = ("nvars", "order", "c")
 
@@ -75,8 +103,11 @@ class Jet:
             raise UsageError(f"jet order must be >= 1, got {order}")
         shape = (order + 1,) * nvars
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != shape:
-            raise UsageError(f"coefficient table has shape {c.shape}, expected {shape}")
+        if c.shape != shape and (c.ndim != nvars + 1 or c.shape[1:] != shape):
+            raise UsageError(
+                f"coefficient table has shape {c.shape}, expected {shape} "
+                "or a batch (N, ...) of them"
+            )
         if not _trusted and nvars > 1:
             c = c * _degree_mask(shape, order)
         self.nvars = nvars
@@ -91,8 +122,10 @@ class Jet:
 
     @classmethod
     def constant(cls, value, nvars, order):
-        j = cls.zeros(nvars, order)
-        j.c[(0,) * nvars] = value
+        """Constant jet; an array of N values gives a batch of N constants."""
+        batch = value.shape if isinstance(value, np.ndarray) else ()
+        j = cls(nvars, order, np.zeros(batch + (order + 1,) * nvars), _trusted=True)
+        j.c[_origin(j.c, nvars)] = value
         return j
 
     @classmethod
@@ -121,7 +154,7 @@ class Jet:
             self._check_compatible(other)
             return Jet(self.nvars, self.order, self.c + other.c, _trusted=True)
         out = self.c.copy()
-        out[(0,) * self.nvars] += other
+        out[_origin(out, self.nvars)] += other
         return Jet(self.nvars, self.order, out, _trusted=True)
 
     __radd__ = __add__
@@ -142,9 +175,13 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.nvars, self.order, self.c * float(other), _trusted=True)
         self._check_compatible(other)
-        a = self.c
-        p, q, k = _product_table(a.shape, self.order)
-        prod = np.bincount(k, weights=a.take(p) * other.c.take(q), minlength=a.size)
+        a, b = self.c, other.c
+        if a.ndim == b.ndim == self.nvars:
+            p, q, k = _product_table(a.shape, self.order)
+        else:
+            a, b = np.broadcast_arrays(a, b)
+            p, q, k = _batched_table(a.shape[1:], self.order, a.shape[0])
+        prod = np.bincount(k, weights=a.take(p) * b.take(q), minlength=a.size)
         return Jet(self.nvars, self.order, prod.reshape(a.shape), _trusted=True)
 
     def __rmul__(self, other):
@@ -294,8 +331,20 @@ class Jet:
 
 def horner(c, point):
     """Evaluate the trailing ``len(point)`` axes of a coefficient table at a
-    numeric point; leading axes index a batch of polynomials."""
+    numeric point; leading axes index a batch of polynomials.
+
+    A coordinate may be a 1-d numpy array of N values (all array
+    coordinates of one call share N); the result then gains a leading axis
+    of length N, one entry per point, and each entry is computed with the
+    same operations as at that point alone.  The last axis is evaluated
+    first, so scalar trailing coordinates (the shared s of a probe) are
+    evaluated once, before the table is spread over the points.
+    """
+    batched = 0
     for x in reversed(point):
+        if isinstance(x, np.ndarray) and x.ndim:
+            x = np.reshape(x, (-1,) + (1,) * (c.ndim - 1 - batched))
+            batched = 1
         acc = c[..., -1]
         for i in range(c.shape[-1] - 2, -1, -1):
             acc = acc * x + c[..., i]
@@ -324,9 +373,10 @@ def _newton_steps(order):
 
 
 def jet_recip(a: Jet) -> Jet:
-    """Multiplicative inverse to the jet's order; constant term must be nonzero."""
-    a0 = a.c[(0,) * a.nvars]
-    if a0 == 0.0:
+    """Multiplicative inverse to the jet's order; constant term must be
+    nonzero (in every row of a batch)."""
+    a0 = a.c[_origin(a.c, a.nvars)]
+    if np.any(a0 == 0.0):
         raise DomainError("reciprocal of a jet with zero constant term")
     x = Jet.constant(1.0 / a0, a.nvars, a.order)
     for _ in range(_newton_steps(a.order)):
@@ -335,13 +385,16 @@ def jet_recip(a: Jet) -> Jet:
 
 
 def jet_sqrt(a: Jet) -> Jet:
-    """Square root with positive constant term, via inverse-sqrt Newton."""
-    a0 = a.c[(0,) * a.nvars]
-    if a0 <= 0.0:
+    """Square root with positive constant term (in every row of a batch),
+    via inverse-sqrt Newton."""
+    a0 = a.c[_origin(a.c, a.nvars)]
+    low = a0 <= 0.0
+    if np.any(low):
         raise DomainError(
-            f"jet square root needs a positive constant term, got {a0:.3e}"
+            "jet square root needs a positive constant term, got "
+            f"{np.extract(low, a0)[0]:.3e}"
         )
-    y = Jet.constant(1.0 / math.sqrt(a0), a.nvars, a.order)
+    y = Jet.constant(1.0 / np.sqrt(a0), a.nvars, a.order)
     for _ in range(_newton_steps(a.order)):
         y = y * (1.5 - 0.5 * a * y * y)
     return a * y

@@ -100,11 +100,17 @@ class NormalFormData:
 
     def derivatives(self, point) -> PointDerivatives:
         """First and second derivatives in (u, v) of the normal form at the
-        source point ``(u, v, s)``."""
+        source point ``(u, v, s)``.
+
+        ``u`` and ``v`` may be 1-d arrays of N coordinates with one shared
+        scalar ``s``: one Horner pass then gives the derivatives at all N
+        points, batched along a leading axis; the s axis is evaluated once.
+        """
         if len(point) != 3:
             raise UsageError(f"point arity {len(point)} != 3")
-        vals = horner(self._partials, point)  # 3 x 5
-        return PointDerivatives(vals[:, :2], vals[:, [2, 3, 3, 4]].reshape(3, 2, 2))
+        vals = horner(self._partials, point)  # ... x 3 x 5
+        hess = vals[..., [2, 3, 3, 4]].reshape(vals.shape[:-1] + (2, 2))
+        return PointDerivatives(vals[..., :2], hess)
 
 
 @dataclass(frozen=True)

@@ -178,41 +178,45 @@ def _conic_branches(conic: FocalConic, span=8.0, samples=129):
 
 # -- OBJ meshes -------------------------------------------------------------------
 
+# Every vertex of a mesh is evaluated in one batch, about 1.4 kB per vertex
+# for a K-sign mesh of a germ with a division and a square root; at this
+# bound (a 400 x 400 grid) that is about 230 MB.
+MAX_MESH_VERTICES = 160_000
+
 
 def mesh_obj(f, u_range, v_range, nu, nv):
     """Row-major triangulated evaluation of a plain germ over a grid.
 
-    Returns (obj_text, vertices); per-vertex scalars are emitted separately.
+    Returns (obj_text, vertices), where vertices is the (nu * nv, 2) array
+    of source points in OBJ order; per-vertex scalars are emitted
+    separately.  All vertices are evaluated as one batch, so the grid is
+    bounded by ``MAX_MESH_VERTICES``.
     """
     if nu < 2 or nv < 2:
         raise UsageError("mesh needs at least a 2 x 2 grid")
+    if nu * nv > MAX_MESH_VERTICES:
+        raise UsageError(
+            f"mesh grid {nu} x {nv} exceeds the limit of {MAX_MESH_VERTICES} vertices"
+        )
     us = np.linspace(u_range[0], u_range[1], nu)
     vs = np.linspace(v_range[0], v_range[1], nv)
-    lines = ["# crosscap surface mesh"]
-    vertices = []
-    for u0 in us:
-        for v0 in vs:
-            p = f.evaluate((u0, v0))
-            vertices.append((u0, v0))
-            lines.append(
-                "v " + " ".join(f"{float(x):.17g}" for x in p)
-            )
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + j + 2
-            d = i * nv + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n", vertices
+    vertices = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+    values = f.evaluate(vertices)
+    i, j = np.meshgrid(np.arange(nu - 1), np.arange(nv - 1), indexing="ij")
+    a = (i * nv + j + 1).ravel()  # corners a, b = a + nv, c = b + 1, d = a + 1
+    faces = np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1], axis=-1)
+    text = (
+        "# crosscap surface mesh\n"
+        + "v %.17g %.17g %.17g\n" * len(values) % tuple(values.ravel().tolist())
+        + "f %d %d %d\nf %d %d %d\n" * len(a) % tuple(faces.ravel().tolist())
+    )
+    return text, vertices
 
 
 def mesh_k_signs(f, vertices) -> str:
-    """One Gauss-sign per vertex (-1, 0, 1), aligned with the OBJ order."""
-    out = []
-    for u0, v0 in vertices:
-        K = form_bundle(f, (u0, v0)).K
-        sign = 0 if K == 0.0 else (1 if K > 0 else -1)
-        out.append(str(sign))
-    return "\n".join(out) + "\n"
+    """One Gauss-sign per vertex (-1, 0, 1), aligned with the OBJ order;
+    the vertices are expanded as one batch of order-2 jets."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = form_bundle(f, vertices).K
+    signs = np.sign(K).astype(int)
+    return "%d\n" * len(signs) % tuple(signs.tolist())
