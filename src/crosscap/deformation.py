@@ -7,12 +7,17 @@ singular-point trajectory.
 Throughout, s = -st^2 with st >= 0, and u(st) denotes the positive branch
 of the singular locus of the reduced germ.  Pointwise data at a source
 point (u, v, s) of the reduced germ comes from ``NormalFormData.derivatives``.
+
+A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
+u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
+every consumer reads it.  c2(0) = 0 is a DegeneracyError; c2(0) < 0 gives
+``trace`` no rows and the other pair consumers a DegeneracyError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,10 +62,7 @@ class SingularPointRecord:
 def singular_locus(nf: NormalFormData, s: float):
     """Singular points of the reduced germ at fixed parameter: v = 0 and
     f33(u, s) = 0 with |u| <= 1, classified pointwise."""
-    if abs(nf.f33.c[2, 0]) <= CLASS_TOL:
-        raise DegeneracyError(
-            "singular_locus needs c2(0) != 0; this degeneracy is unsupported"
-        )
+    _pair_alpha1(nf)
     poly, roots = _locus_roots(nf, s)
     st = math.sqrt(-s) if s <= 0 else float("nan")
     records = []
@@ -74,14 +76,37 @@ def singular_locus(nf: NormalFormData, s: float):
         frame = frame_at(nf.derivatives((u0, 0.0, s)))
         kind = focal_conic_from_frame(frame).kind
         if frame.cross_cap:
-            _, inv = invariants_from_frame(frame)
-            records.append(
-                SingularPointRecord(st, (u0, 0.0), "umbrella", inv, kind, residual)
-            )
+            cls, inv = "umbrella", invariants_from_frame(frame)[1]
         else:
             cls = "S1" if abs(u0) <= 1e-7 and abs(s) <= 1e-12 else "degenerate"
-            records.append(SingularPointRecord(st, (u0, 0.0), cls, None, kind, residual))
+            inv = None
+        records.append(SingularPointRecord(st, (u0, 0.0), cls, inv, kind, residual))
     return records
+
+
+def _pair_alpha1(nf: NormalFormData, need: Optional[str] = None) -> Optional[float]:
+    """The one decision on c2(0) = [u^2] f33(u, 0).  |c2(0)| <= CLASS_TOL is a
+    DegeneracyError; c2(0) > 0 returns alpha1 = 1/sqrt(c2(0)), the slope of
+    the cross-cap pair's positive branch u(st); c2(0) < 0 (no pair) returns
+    None, or is a DegeneracyError when ``need`` names a caller of the pair."""
+    c2_0 = float(nf.f33.c[2, 0])
+    if abs(c2_0) <= CLASS_TOL:
+        raise DegeneracyError(
+            f"the singular locus needs c2(0) != 0 (it is {c2_0:.3e}); "
+            "this degeneracy is unsupported"
+        )
+    if c2_0 > 0:
+        return 1.0 / math.sqrt(c2_0)
+    if need:
+        raise DegeneracyError(f"{need} needs c2(0) > 0")
+    return None
+
+
+def _branch_series(nf: NormalFormData) -> np.ndarray:
+    """Coefficients alpha_1, alpha_2, ... of the positive branch u(st), from
+    f33(u, -t^2) = 0 as a jet in (u, t); the caller has decided c2(0) > 0."""
+    u2, t2 = Jet.coordinates(2, nf.order)
+    return branch_solve(nf.f33.compose([u2, -(t2 * t2)]))
 
 
 def _locus_roots(nf: NormalFormData, s: float):
@@ -141,13 +166,11 @@ class LocusExpansion:
 
 
 def locus_expansion(cs: CoefficientSet, nf: NormalFormData) -> LocusExpansion:
-    if cs.c2_0 <= CLASS_TOL:
-        raise DegeneracyError("locus expansion needs c2(0) > 0")
+    alpha1 = _pair_alpha1(nf, "locus expansion")
     c20 = cs.c20
-    alpha1 = 1.0 / c20
     alpha2 = (cs.c1_0 * c20**2 - cs.c3_0) / (2.0 * c20**4)
 
-    alphas = branch_solve(_locus_equation(nf))
+    alphas = _branch_series(nf)
 
     def closed3(c3_sq_sign, c2s_factor):
         return (
@@ -165,13 +188,6 @@ def locus_expansion(cs: CoefficientSet, nf: NormalFormData) -> LocusExpansion:
         alpha3_text_statement=closed3(-1.0, 4.0),
         alpha3_text_proof=closed3(-1.0, 14.0),
     )
-
-
-def _locus_equation(nf: NormalFormData) -> Jet:
-    """f33(u, -t^2) as a jet in (u, t)."""
-    order = nf.order
-    u2, t2 = Jet.coordinates(2, order)
-    return nf.f33.compose([u2, -(t2 * t2)])
 
 
 # -- invariant tracing ----------------------------------------------------------------
@@ -194,17 +210,7 @@ class TraceRow:
 class TraceTable:
     rows: tuple
 
-    COLUMNS = (
-        "s_tilde",
-        "u_plus",
-        "u_minus",
-        "a20",
-        "a11",
-        "a02",
-        "ku_ext",
-        "ka",
-        "conic_kind",
-    )
+    COLUMNS = tuple(f.name for f in fields(TraceRow))
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.rows])
@@ -214,39 +220,31 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     """Invariants of both cross-caps along a geometric grid in st.
 
     Returns (TraceTable, NormalFormData, CoefficientSet); rows keep the
-    positive-branch invariants.
+    positive-branch invariants.  Each row pairs the two distinct
+    ``singular_locus`` records nearest to +-alpha1 st; an st without such a
+    pair gets no row, and c2(0) < 0 gives no rows at all.
     """
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
+    alpha1 = _pair_alpha1(nf)
+    if alpha1 is None:
+        return TraceTable(()), nf, cs
     rows = []
     for st in s_tilde_grid:
-        s = -st * st
-        _, roots = _locus_roots(nf, s)
-        if not roots:
+        records = singular_locus(nf, -st * st)
+        plus = min(records, key=lambda r: abs(r.point[0] - alpha1 * st), default=None)
+        minus = min(records, key=lambda r: abs(r.point[0] + alpha1 * st), default=None)
+        if plus is minus:  # no root, or one root nearest to both
             continue
-        alpha1 = 1.0 / cs.c20 if cs.c2_0 > 0 else 0.0
-        u_plus = min(roots, key=lambda r: abs(r - alpha1 * st))
-        u_minus = min(roots, key=lambda r: abs(r + alpha1 * st))
-        frame = frame_at(nf.derivatives((u_plus, 0.0, s)))
-        if not frame.cross_cap:
+        if plus.inv is None:
             raise DegeneracyError(
-                f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
+                f"trace: the point (u, 0) = ({plus.point[0]:.6g}, 0) at st = {st:.6g} "
                 "is not a cross-cap"
             )
-        _, inv = invariants_from_frame(frame)
-        kind = focal_conic_from_frame(frame).kind
+        inv = plus.inv
         rows.append(
-            TraceRow(
-                s_tilde=st,
-                u_plus=u_plus,
-                u_minus=u_minus,
-                a20=inv.a20,
-                a11=inv.a11,
-                a02=inv.a02,
-                ku_ext=inv.ku_ext,
-                ka=inv.ka,
-                conic_kind=kind,
-            )
+            TraceRow(st, plus.point[0], minus.point[0], inv.a20, inv.a11, inv.a02,
+                     inv.ku_ext, inv.ka, plus.conic_kind)
         )
     return TraceTable(tuple(rows)), nf, cs
 
@@ -365,29 +363,33 @@ def gauss_sign_probe(
     ``search_s0`` is set, a bisection locates the largest st in (0, 1/2]
     for which every sample agrees.  An st with u(st) = 0 (st = 0, or st^2
     below the float range) puts every sample at the S1 point and is a
-    DomainError.
+    DomainError; so is c2(0) <= 0, where no cross-cap pair is born.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
     cs = scalar_coefficients(nf)
     if abs(cs.f31_0) <= CLASS_TOL:
         raise DomainError("the sign law needs f31(0) != 0")
+    alpha1 = _pair_alpha1(nf, "the sign probe")
     thetas = default_theta_grid()
     k_fracs = default_k_grid()
     trig = _theta_trig(thetas)
 
-    agreement, mismatches, u_st = _probe_once(nf, cs, s_tilde, thetas, k_fracs, trig)
+    def probe(st):
+        return _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig)
+
+    agreement, mismatches, u_st = probe(s_tilde)
 
     st_max = None
     if search_s0:
         lo, hi = 0.0, 0.5
-        ok_hi, _, _ = _probe_once(nf, cs, hi, thetas, k_fracs, trig)
+        ok_hi, _, _ = probe(hi)
         if ok_hi == 1.0:
             st_max = hi
         else:
             for _ in range(20):
                 mid = 0.5 * (lo + hi)
-                ok, _, _ = _probe_once(nf, cs, mid, thetas, k_fracs, trig)
+                ok, _, _ = probe(mid)
                 if ok == 1.0:
                     lo = mid
                 else:
@@ -412,14 +414,13 @@ def _theta_trig(thetas):
     return np.array(sines), np.array(cosines), np.array([x**2 for x in sines])
 
 
-def _probe_once(nf, cs, st, thetas, k_fracs, trig):
+def _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig):
     """Sign agreement on the theta x k grid at one st; all samples share
     s = -st^2 and are evaluated as one batch."""
     s = -st * st
     _, roots = _locus_roots(nf, s)
     if not roots:
         return 0.0, (), float("nan")
-    alpha1 = 1.0 / cs.c20
     u_st = min(roots, key=lambda r: abs(r - alpha1 * st))
     if u_st == 0.0:
         raise DomainError(
@@ -472,10 +473,9 @@ class TrajectoryReport:
 def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
-    if cs.c2_0 <= CLASS_TOL:
-        raise DegeneracyError("trajectory geometry needs c2(0) > 0")
+    _pair_alpha1(nf, "trajectory geometry")
 
-    alphas = branch_solve(_locus_equation(nf))
+    alphas = _branch_series(nf)
     u_t = Jet(1, order, np.concatenate([[0.0], alphas, [0.0]]))
     t1 = Jet.variable(0, 1, order)
     zero = Jet.zeros(1, order)

@@ -264,6 +264,34 @@ def test_trace_down_to_small_st_keeps_the_hyperbola(capsys):
         assert limit == pytest.approx(rep["asymptotics"]["theory"][name], abs=1e-5)
 
 
+def test_trace_single_root_st_gets_no_row(capsys, tmp_path):
+    """Only the two smallest st of the default grid have two distinct locus
+    roots; the larger ones, a single root, give no row (no extrapolation)."""
+    code, out = run(capsys, "trace", "--germ", "u; v^2; v*(s + 0.05*u^2 + u^3)",
+                    "--out", str(tmp_path))
+    assert code == 0
+    rep = last_json(out)
+    assert rep["rows"] == 2
+    assert rep["note"] == "fewer than 4 rows; no extrapolation"
+
+
+@pytest.mark.parametrize(
+    "command, germ",
+    [
+        ("trace", "u; v^2; u^2 + v^3 + u^3*v + s*v"),  # c2(0) = 0
+        ("gauss-probe", "u; v^2; u^2 + v^3 + u^3*v + s*v"),
+        ("gauss-probe", "u; v^2 + u*s; u^2 + v^3 + v*(s - u^2 + 3*u^4)"),  # c2(0) < 0
+    ],
+)
+def test_no_cross_cap_pair_is_a_quiet_domain_error(capfd, tmp_path, command, germ):
+    code = cli.main([command, "--germ", germ, "--out", str(tmp_path)])
+    out, err = capfd.readouterr()
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "math-domain"
+    assert err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_csv_round_trip(capsys, tmp_path):
     code, _ = run(
         capsys,

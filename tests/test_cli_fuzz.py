@@ -75,6 +75,25 @@ def test_mesh_numbers(out_dir, s, a, b):
             f"--u-range={a!r}:{b!r}", "--nu", "2", "--nv", "2", "--out", out_dir)
 
 
+# -- S1 families ---------------------------------------------------------------------
+
+COEFFICIENTS = st.sampled_from(["0", "1", "-1", "0.5", "-2"])
+
+
+@settings(FUZZ, max_examples=25)
+@given(a=COEFFICIENTS, b=COEFFICIENTS, c=COEFFICIENTS, k=st.sampled_from([2, 3]))
+@example(a="0", b="1", c="1", k=3)  # c2(0) = 0
+def test_s1_families(out_dir, a, b, c, k):
+    """The analytics commands on S1 deformations whose c2(0), the u^2 v
+    coefficient of the last component, may be positive, negative or 0."""
+    germ = f"u; v^2 + {a}*u*s; {b}*u^2 + v^3 + {c}*u^{k}*v + s*v"
+    run_cli("trace", "--germ", germ, "--out", out_dir)
+    run_cli("gauss-probe", "--germ", germ)
+    run_cli("focal", "--germ", germ, "--s=-0.01", "--out", out_dir)
+    run_cli("mesh", "--germ", germ, "--nu", "2", "--nv", "2", "--s=-0.01",
+            "--out", out_dir)
+
+
 # -- DSL sources ---------------------------------------------------------------------
 
 LITERALS = st.one_of(

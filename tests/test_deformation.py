@@ -12,7 +12,7 @@ from crosscap.deformation import (
     trace,
     trajectory_geometry,
 )
-from crosscap.errors import DomainError, UsageError
+from crosscap.errors import DegeneracyError, DomainError, UsageError
 from crosscap.germs import MapGerm
 from crosscap.invariants import form_bundle
 from crosscap.jets import Jet
@@ -20,6 +20,7 @@ from crosscap.normal_form import normalize_parameter, reduce, scalar_coefficient
 
 F_PLUS = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"
 F_MINUS = "u; v^2 + u*s; -u^2 + v^3 + u^2*v + v*s"
+C2_ZERO = "u; v^2; u^2 + v^3 + u^3*v + s*v"  # f33 has no u^2 term: c2(0) = 0
 GRID = [0.1 * 2.0**-j for j in range(7)]
 
 
@@ -140,6 +141,47 @@ def test_trace_empty_when_locus_on_other_side():
     f = MapGerm.parse("u; v^2; v*(s - u^2)")
     table, _, _ = trace(f, GRID)
     assert table.rows == ()
+
+
+def test_trace_rows_hold_two_distinct_points():
+    # for st >= 0.00625 the locus s + 0.05 u^2 + u^3 = 0 has one root in
+    # |u| <= 1; it is nearest to both +-alpha1 st, so those st get no row
+    table, _, _ = trace(MapGerm.parse("u; v^2; v*(s + 0.05*u^2 + u^3)"), GRID)
+    assert table.column("s_tilde").tolist() == GRID[5:]
+    assert np.all(table.column("u_minus") < 0)
+    assert np.all(table.column("u_plus") > 0)
+
+
+def test_c2_zero_is_one_degeneracy_error():
+    f = MapGerm.parse(C2_ZERO)
+    nf = normalize_parameter(reduce(f))
+    cs = scalar_coefficients(nf)
+    calls = (
+        lambda: singular_locus(nf, -0.01),
+        lambda: trace(f, GRID),
+        lambda: locus_expansion(cs, nf),
+        lambda: gauss_sign_probe(nf, 0.05),
+        lambda: trajectory_geometry(f),
+    )
+    for call in calls:
+        with pytest.raises(DegeneracyError, match=r"needs c2\(0\) != 0"):
+            call()
+
+
+def test_c2_negative_has_no_pair_from_the_s1_point():
+    # the cross-caps at u = +-1/sqrt(3) exist already at s = 0; for
+    # c2(0) = -1 no pair is born at the S1 point, so none is traced
+    f = MapGerm.parse("u; v^2; v*(s - u^2 + 3*u^4)")
+    table, nf, cs = trace(f, GRID)
+    assert table.rows == ()
+    assert [r.cls for r in singular_locus(nf, -0.01)] == ["umbrella"] * 2
+    with pytest.raises(DegeneracyError, match=r"needs c2\(0\) > 0"):
+        locus_expansion(cs, nf)
+    with pytest.raises(DegeneracyError, match=r"needs c2\(0\) > 0"):
+        trajectory_geometry(f)
+    g = MapGerm.parse("u; v^2 + u*s; u^2 + v^3 + v*(s - u^2 + 3*u^4)")
+    with pytest.raises(DegeneracyError, match=r"needs c2\(0\) > 0"):
+        gauss_sign_probe(normalize_parameter(reduce(g)), 0.05)
 
 
 def test_asymptotics_grid_validation(s1_plus):
