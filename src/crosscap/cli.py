@@ -4,7 +4,7 @@ gauss-probe | mesh.
 Every command prints a JSON report to stdout and, once it has succeeded,
 writes its artifacts into --out; a failed command writes nothing.  Exit
 codes: 0 success, 2 usage, 3 math-domain (floating-point overflow
-included), 4 internal-consistency.
+included, through ``errors.float_contract``), 4 internal-consistency.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import deformation as da
 from . import invariants as pi
 from . import normal_form as nfm
 from .errors import ConsistencyError, DomainError, GenericityError, UsageError
+from .errors import float_contract
 from .germs import MapGerm
 from .reports import conic_svg, mesh_k_signs, mesh_obj, to_json, trace_csv
 
@@ -365,16 +364,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; floating-point overflow, invalid operations and
-    division by zero anywhere in it are math-domain errors (exit 3).
+    """Run one command under ``float_contract``: overflow, invalid
+    operations and division by zero in it are math-domain errors (exit 3).
 
     A command returns its report and the files to write into --out, name
     to text, where None stands for the report's own JSON.
     """
     try:
         args = build_parser().parse_args(argv)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report, files = _COMMANDS[args.command](args)
+        report, files = float_contract(_COMMANDS[args.command])(args)
         text = to_json(report)
         out = _outdir(args)
         if out is not None:
@@ -386,7 +384,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(to_json({"error": {"type": "usage", "message": str(exc)}}))
         return 2
-    except (DomainError, FloatingPointError, OverflowError) as exc:
+    except DomainError as exc:
         print(to_json({"error": {"type": "math-domain", "message": str(exc)}}))
         return 3
     except ConsistencyError as exc:

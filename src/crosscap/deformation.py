@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, DomainError, UsageError
+from .errors import float_contract
 from .germs import MapGerm
 from .invariants import (
     UmbrellaInvariants,
@@ -59,6 +60,7 @@ class SingularPointRecord:
     residual: float
 
 
+@float_contract
 def singular_locus(nf: NormalFormData, s: float):
     """Singular points of the reduced germ at fixed parameter: v = 0 and
     f33(u, s) = 0 with |u| <= 1, classified pointwise."""
@@ -111,13 +113,10 @@ def _branch_series(nf: NormalFormData) -> np.ndarray:
 
 def _locus_roots(nf: NormalFormData, s: float):
     """Coefficients in u of the slice f33(u, s) and its real roots in
-    |u| <= 1.  A non-finite s, or a slice that overflows, is a DomainError."""
+    |u| <= 1.  A non-finite s is a DomainError."""
     if not math.isfinite(s):
         raise DomainError(f"non-finite parameter value s = {s}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        poly = nf.f33.subs(1, s).c
-    if not np.all(np.isfinite(poly)):
-        raise DomainError("non-finite coefficient in the singular-locus polynomial")
+    poly = nf.f33.subs(1, s).c
     scale = np.max(np.abs(poly))
     top = len(poly) - 1
     while top > 0 and abs(poly[top]) <= 1e-13 * scale:
@@ -165,6 +164,7 @@ class LocusExpansion:
     alpha3_text_proof: float
 
 
+@float_contract
 def locus_expansion(cs: CoefficientSet, nf: NormalFormData) -> LocusExpansion:
     alpha1 = _pair_alpha1(nf, "locus expansion")
     c20 = cs.c20
@@ -216,6 +216,7 @@ class TraceTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
+@float_contract
 def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int = 8):
     """Invariants of both cross-caps along a geometric grid in st.
 
@@ -255,6 +256,7 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
 RICHARDSON_TOL = 1e-3
 
 
+@float_contract
 def richardson(values, ratio):
     """Limit of a sequence sampled on a geometric grid (largest step first);
     eliminates one power of the step per column.
@@ -289,6 +291,7 @@ class AsymptoticReport:
     ka_limit: float
 
 
+@float_contract
 def asymptotic_limits(table: TraceTable, cs: CoefficientSet) -> AsymptoticReport:
     st = table.column("s_tilde")
     if len(st) < 4:
@@ -351,6 +354,7 @@ def default_k_grid() -> np.ndarray:
     return (np.arange(8) + 0.5) / 8
 
 
+@float_contract
 def gauss_sign_probe(
     nf: NormalFormData, s_tilde: float, search_s0: bool = True
 ) -> GaussProbeReport:
@@ -363,7 +367,7 @@ def gauss_sign_probe(
     ``search_s0`` is set, a bisection locates the largest st in (0, 1/2]
     for which every sample agrees.  An st with u(st) = 0 (st = 0, or st^2
     below the float range) puts every sample at the S1 point and is a
-    DomainError; so is c2(0) <= 0, where no cross-cap pair is born.
+    DomainError; so are an st without a locus root in |u| <= 1 and c2(0) <= 0.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
@@ -379,6 +383,8 @@ def gauss_sign_probe(
         return _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig)
 
     agreement, mismatches, u_st = probe(s_tilde)
+    if math.isnan(u_st):
+        raise DomainError(f"no locus root u(st) in the window |u| <= 1 at st = {s_tilde:g}")
 
     st_max = None
     if search_s0:
@@ -436,8 +442,7 @@ def _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig):
     predicted = np.copysign(1.0, st * sin_t * cs.f31_0)
     r = k_fracs * R[:, None] * u_st  # theta x k
     u, v = (r * cos_t[:, None]).ravel(), (r * sin_t[:, None]).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = form_bundle_from(nf.derivatives((u, v, s))).K
+    K = form_bundle_from(nf.derivatives((u, v, s))).K
     n_k = len(k_fracs)
     bad = np.copysign(1.0, K) != np.repeat(predicted, n_k)
     mismatches = tuple(
@@ -470,6 +475,7 @@ class TrajectoryReport:
     recovery_skipped: bool
 
 
+@float_contract
 def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)

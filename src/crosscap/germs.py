@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, float_contract
 from .jets import Jet, jet_recip, jet_sqrt
 
 # -- expression trees ---------------------------------------------------------
@@ -360,10 +360,7 @@ def eval_number(node, env):
 def _float_pow(base, exponent):
     """Python's float ``base ** exponent``, element by element on an array."""
     if not isinstance(base, np.ndarray):
-        try:
-            return base ** exponent
-        except OverflowError:
-            raise DomainError(f"{base:.3e}^{exponent} overflows") from None
+        return base ** exponent
     return np.array([_float_pow(b, exponent) for b in base.tolist()])
 
 
@@ -470,9 +467,6 @@ class MapGerm:
             raise UsageError("a plain germ cannot reference the parameter s")
         return cls(*exprs, kind=kind)
 
-    def print_form(self) -> str:
-        return "; ".join(print_expr(e) for e in self.components)
-
     def _coordinates(self, point):
         """The batch shape and the coordinates of ``point``: () and one
         float per variable, or (N,) and the nvars columns of an (N, nvars)
@@ -485,6 +479,7 @@ class MapGerm:
             return (), pts.tolist()
         return pts.shape[:1], list(pts.T)
 
+    @float_contract
     def evaluate(self, point) -> np.ndarray:
         """Values at ``point``, shape (3,); at an (N, nvars) array of
         points, shape (N, 3).  A non-finite value is a DomainError naming
@@ -492,15 +487,15 @@ class MapGerm:
         batch, coords = self._coordinates(point)
         env = dict(zip(_VARS, coords))
         values = np.empty(batch + (3,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, e in enumerate(self.components):
-                values[..., k] = eval_number(e, env)
+        for k, e in enumerate(self.components):
+            values[..., k] = eval_number(e, env)
         finite = np.isfinite(values).all(axis=-1)
         if not np.all(finite):
             bad = np.reshape(point, (-1, self.nvars))[np.argmin(finite.ravel())]
             raise DomainError(f"non-finite germ value at {[float(x) for x in bad]}")
         return values
 
+    @float_contract
     def jet_at(self, point, order) -> tuple:
         """Taylor jets of the three components about ``point``; about an
         (N, nvars) array of points they are batched jets, one row per point."""
@@ -519,6 +514,7 @@ class MapGerm:
             )
         return jets
 
+    @float_contract
     def derivatives(self, point) -> "PointDerivatives":
         """First and second derivatives at ``point`` (or at each of an
         (N, nvars) array of points) from one order-2 jet."""
@@ -625,10 +621,12 @@ class PointDerivatives:
         return n
 
 
+@float_contract
 def rank_at(f: MapGerm, point) -> int:
     return f.derivatives(point).rank()
 
 
+@float_contract
 def null_vector(f: MapGerm, point) -> np.ndarray:
     return f.derivatives(point).null_vector()
 
@@ -652,6 +650,7 @@ class AdmissibilityReport:
         return [c for c in self.clauses if not c.passed]
 
 
+@float_contract
 def admissibility_check(f: MapGerm, order: int = 8) -> AdmissibilityReport:
     """Check the hypotheses of the normal-form reduction (see
     ``admissibility_from_jets``) on the germ's jets at the origin."""

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, float_contract
 from .germs import MapGerm, PointDerivatives
 
 WHITNEY_TOL = 1e-9
@@ -67,6 +67,7 @@ class SecondOrderFrame:
         return float(np.linalg.det(np.column_stack([a, b, c])))
 
     @cached_property
+    @float_contract
     def scalars(self) -> FundamentalScalars:
         """The fundamental scalars, computed on first use."""
         f_u, f_uu, f_uv, f_vv = self.f_u, self.f_uu, self.f_uv, self.f_vv
@@ -76,10 +77,7 @@ class SecondOrderFrame:
         C = self.C
         d_uuv = self.triple(f_u, f_uu, f_vv)
         d_uvu = self.triple(f_u, f_uv, f_uu)
-        try:
-            D = d_uuv**2 + 4.0 * C * d_uvu
-        except OverflowError:
-            raise DomainError("fundamental scalars beyond the float range") from None
+        D = d_uuv**2 + 4.0 * C * d_uvu
         gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
         E = 2.0 * C * gram - B * d_uuv
         return FundamentalScalars(A, B, C, D, E)
@@ -87,7 +85,8 @@ class SecondOrderFrame:
 
 def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     """Align the source so Ker df = <d_v>, flip v when needed for C >= 0,
-    and decide the cross-cap test: C > WHITNEY_TOL (|f_u| |f_vv| |f_uv| + 1)."""
+    and decide the cross-cap test: C > WHITNEY_TOL (|f_u| |f_vv| |f_uv| + 1).
+    C stays a numpy scalar, so a product with it that overflows raises."""
     n = d.null_vector()
     t = np.array([n[1], -n[0]])
     f_u = d.grad @ t
@@ -95,7 +94,7 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     f_uu = np.einsum("cij,i,j->c", d.hess, t, t)
     f_uv = np.einsum("cij,i,j->c", d.hess, t, n)
     f_vv = np.einsum("cij,i,j->c", d.hess, n, n)
-    C = float(np.linalg.det(np.column_stack([f_u, f_uv, f_vv])))
+    C = np.linalg.det(np.column_stack([f_u, f_uv, f_vv]))
     if C < 0.0:
         f_uv = -f_uv
         f_v = -f_v
@@ -142,6 +141,7 @@ def normal_plane_basis(f_u) -> np.ndarray:
 # -- Whitney-umbrella test and invariants -----------------------------------------
 
 
+@float_contract
 def whitney_test(f: MapGerm, point) -> bool:
     """A rank-1 point is a cross-cap iff C = |f_u, f_uv, f_vv| does not vanish."""
     return _plain_frame(f, point).cross_cap
@@ -156,6 +156,7 @@ class UmbrellaInvariants:
     ka: float  # axial curvature |(a20 a02 - a11^2)/a02|
 
 
+@float_contract
 def umbrella_invariants(f: MapGerm, point):
     return invariants_from_frame(_plain_frame(f, point))
 
@@ -170,19 +171,16 @@ def invariants_from_frame(frame: SecondOrderFrame):
         raise DomainError("the point is not a cross-cap")
     fs = frame.scalars
     A, B, C, D, E = fs.A, fs.B, fs.C, fs.D, fs.E_inv
-    try:
-        a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
-        a11 = 0.5 / math.sqrt(A) / C**2 * E
-        a02 = math.sqrt(A) * B**1.5 / C**2
-        inv = UmbrellaInvariants(
-            a20=a20,
-            a11=a11,
-            a02=a02,
-            ku_ext=2.0 * abs(a11 / a02),
-            ka=abs((a20 * a02 - a11**2) / a02),
-        )
-    except OverflowError:
-        raise DomainError("umbrella invariants beyond the float range") from None
+    a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
+    a11 = 0.5 / math.sqrt(A) / C**2 * E
+    a02 = math.sqrt(A) * B**1.5 / C**2
+    inv = UmbrellaInvariants(
+        a20=a20,
+        a11=a11,
+        a02=a02,
+        ku_ext=2.0 * abs(a11 / a02),
+        ka=abs((a20 * a02 - a11**2) / a02),
+    )
     return fs, inv
 
 
@@ -202,6 +200,7 @@ class CurvatureParabola:
     ka: Optional[float]  # axial curvature
 
 
+@float_contract
 def curvature_parabola(f: MapGerm, point) -> CurvatureParabola:
     return curvature_parabola_from_frame(_plain_frame(f, point))
 
@@ -255,6 +254,7 @@ class FocalConic:
     plane_basis: np.ndarray
 
 
+@float_contract
 def focal_conic(f: MapGerm, point) -> FocalConic:
     return focal_conic_from_frame(_plain_frame(f, point))
 
@@ -282,14 +282,11 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
     p_uv = basis.T @ frame.f_uv
     p_vv = basis.T @ frame.f_vv
     # det Hess D^x = (w.f_uu - A)(w.f_vv) - (w.f_uv)^2, as a form in w
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
-        b = -fs.A * p_vv
-        dM = float(np.linalg.det(M))
-        tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
+    M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
+    b = -fs.A * p_vv
+    dM = float(np.linalg.det(M))
+    tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
     gap = abs(dM + fs.D / (4.0 * fs.A))
-    if not math.isfinite(gap + tol):
-        raise DomainError("focal conic entries beyond the float range")
     if gap > tol:
         raise ConsistencyError(
             f"focal conic det M = {dM:.6e} contradicts -D/(4A) = "
@@ -319,6 +316,7 @@ class FormBundle:
     K: float
 
 
+@float_contract
 def form_bundle(f: MapGerm, point) -> FormBundle:
     return form_bundle_from(f.derivatives(point))
 
@@ -330,18 +328,10 @@ def _dot(a, b):
 
 
 def form_bundle_from(d: PointDerivatives) -> FormBundle:
-    """The forms at one point or, from batched derivatives, at N points.
-    A field beyond the float range is a DomainError."""
+    """The forms at one point or, from batched derivatives, at N points."""
     f_u, f_v = d.grad[..., 0], d.grad[..., 1]
     f_uu, f_uv, f_vv = d.hess[..., 0, 0], d.hess[..., 0, 1], d.hess[..., 1, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        normal = np.cross(f_u, f_v)
-        L, M, N_ = _dot(f_uu, normal), _dot(f_uv, normal), _dot(f_vv, normal)
-        fields = (
-            _dot(f_u, f_u), _dot(f_u, f_v), _dot(f_v, f_v), L, M, N_, L * N_ - M * M
-        )
-    finite = np.isfinite(fields).all(axis=0)
-    if not np.all(finite):
-        where = f" at sample {np.argmin(finite)}" if finite.ndim else ""
-        raise DomainError(f"fundamental forms beyond the float range{where}")
-    return FormBundle(*fields)
+    normal = np.cross(f_u, f_v)
+    L, M, N_ = _dot(f_uu, normal), _dot(f_uv, normal), _dot(f_vv, normal)
+    E1, F1, G1 = _dot(f_u, f_u), _dot(f_u, f_v), _dot(f_v, f_v)
+    return FormBundle(E1, F1, G1, L, M, N_, L * N_ - M * M)

@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, GenericityError, UsageError
+from .errors import float_contract
 from .germs import (
     Add,
     Expr,
@@ -98,6 +99,7 @@ class NormalFormData:
             )
         return np.array(table)
 
+    @float_contract
     def derivatives(self, point) -> PointDerivatives:
         """First and second derivatives in (u, v) of the normal form at the
         source point ``(u, v, s)``.
@@ -180,6 +182,7 @@ def rotation_about_x(theta) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
+@float_contract
 def random_rotation(rng) -> np.ndarray:
     """Haar-ish random element of SO(3) via QR of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -206,6 +209,7 @@ def _apply_matrix(T, jets):
 # -- the reduction -----------------------------------------------------------------
 
 
+@float_contract
 def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     """Reduce an admissible deformation to the normal form."""
     if f.kind != "deformation":
@@ -329,6 +333,7 @@ def _project(jy, jz):
 # -- classification and coefficients ------------------------------------------------
 
 
+@float_contract
 def classify(nf: NormalFormData) -> Classification:
     """Sign of (f32)_v(0,0,0) * (f33)_uu(0,0) separates the two families."""
     disc = nf.f32.c[0, 1, 0] * 2.0 * nf.f33.c[2, 0]
@@ -341,6 +346,7 @@ def classify(nf: NormalFormData) -> Classification:
     return Classification(kind, float(disc))
 
 
+@float_contract
 def normalize_parameter(nf: NormalFormData) -> NormalFormData:
     """Reparametrize s so that f33(0, s) = s.
 
@@ -372,6 +378,7 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
     return out
 
 
+@float_contract
 def scalar_coefficients(nf: NormalFormData) -> CoefficientSet:
     f33, f32 = nf.f33, nf.f32
     c2_0 = float(f33.c[2, 0])
@@ -411,6 +418,7 @@ _MONOMIAL_NAMES = (
 )
 
 
+@float_contract
 def monomial_coefficients(nf: NormalFormData) -> dict:
     """Constant and s-linear parts of the monomial coefficients of the
     normal form: b_i is the u^i coefficient of the second component minus
@@ -438,6 +446,7 @@ class DiffeoSpec:
         return (self.comp_u, self.comp_v, self.comp_s)
 
 
+@float_contract
 def apply_equivalence(f: MapGerm, diffeo: DiffeoSpec, rotation) -> MapGerm:
     """The composed deformation rotation . f . diffeo as a new MapGerm."""
     if f.kind != "deformation":

@@ -216,7 +216,6 @@ def mesh_obj(f, u_range, v_range, nu, nv):
 def mesh_k_signs(f, vertices) -> str:
     """One Gauss-sign per vertex (-1, 0, 1), aligned with the OBJ order;
     the vertices are expanded as one batch of order-2 jets."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = form_bundle(f, vertices).K
+    K = form_bundle(f, vertices).K
     signs = np.sign(K).astype(int)
     return "%d\n" * len(signs) % tuple(signs.tolist())

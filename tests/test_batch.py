@@ -133,12 +133,12 @@ def test_mesh_grid_bound_refuses_before_allocating(capsys, tmp_path):
 def test_batched_library_calls_raise_domain_error_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="non-finite germ value"):
+        with pytest.raises(DomainError, match="beyond the float range"):
             mesh_obj(MapGerm.parse("u; v; 1e308*(u + v + 1)"), (-1, 1), (-1, 1), 3, 3)
         vertices = mesh_obj(MapGerm.parse("u; v; u*v"), (-1, 1), (-1, 1), 3, 3)[1]
         with pytest.raises(DomainError, match="float range"):
             mesh_k_signs(MapGerm.parse("u; v; 1e200*(u^2 + v^2)"), vertices)
-        with pytest.raises(DomainError, match="non-finite derivative"):
+        with pytest.raises(DomainError, match="beyond the float range"):
             mesh_k_signs(MapGerm.parse("u; v; 1e200*u^2*1e200"), vertices)
         with pytest.raises(DomainError, match="positive constant term"):
             mesh_k_signs(MapGerm.parse("u; v; sqrt(u^2 + v^2)"), vertices)

@@ -100,6 +100,8 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         # u(st) = 0: every sample would sit at the S1 point
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "0"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "1e-200"),
+        # the pair root alpha1 * st ~ 1.58 lies outside the window |u| <= 1
+        ("gauss-probe", "--germ", "100*u; 100*(v^2); 100*(u^2 + v^3 + u^2*v + s*v)"),
     ],
 )
 def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):

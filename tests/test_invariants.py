@@ -93,6 +93,8 @@ def test_invariants_on_model_locus(s1_plus):
         # the invariants' C^2 and the focal conic's tolerance leave it while
         # the scalars stay finite
         ("u; 1e150*u*v; 1e5*v^2", (focal_conic, umbrella_invariants)),
+        # 4 C d_uvu leaves it while d_uuv = 0 (f_uu is parallel to f_vv)
+        ("1e150*u; 5e9*u^2 + 5e-148*v^2; 1e76*u*v", (focal_conic, umbrella_invariants)),
     ],
 )
 def test_float_power_overflow_is_domain_error(source, calls):
