@@ -114,12 +114,19 @@ def _parse_point(text):
     return tuple(_parse_numbers(text, ",", (float, float), "point must be 'u,v'"))
 
 
+# A trace grid is built as a list before any point is traced; a ratio-2
+# grid stops giving rows after about 21 points.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text):
     start, ratio, count = _parse_numbers(
         text, ":", (float, float, int), "grid must be 'start:ratio:count'"
     )
     if not (count >= 1 and start > 0 and ratio > 1.0):  # rejects nan too
         raise UsageError("grid needs start > 0, ratio > 1 and count >= 1")
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid count {count} exceeds the limit of {MAX_GRID_POINTS} points")
     return [start * ratio**-j for j in range(count)]
 
 

@@ -107,8 +107,8 @@ def _pair_alpha1(nf: NormalFormData, need: Optional[str] = None) -> Optional[flo
 def _branch_series(nf: NormalFormData) -> np.ndarray:
     """Coefficients alpha_1, alpha_2, ... of the positive branch u(st), from
     f33(u, -t^2) = 0 as a jet in (u, t); the caller has decided c2(0) > 0."""
-    u2, t2 = Jet.coordinates(2, nf.order)
-    return branch_solve(nf.f33.compose([u2, -(t2 * t2)]))
+    t2 = Jet.variable(1, 2, nf.order)
+    return branch_solve(nf.f33.substitute(1, -(t2 * t2)))
 
 
 def _locus_roots(nf: NormalFormData, s: float):
@@ -481,12 +481,13 @@ def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
     cs = scalar_coefficients(nf)
     _pair_alpha1(nf, "trajectory geometry")
 
-    alphas = _branch_series(nf)
-    u_t = Jet(1, order, np.concatenate([[0.0], alphas, [0.0]]))
-    t1 = Jet.variable(0, 1, order)
-    zero = Jet.zeros(1, order)
-    s_t = -(t1 * t1)
-    gamma = [comp.compose([u_t, zero, s_t]) for comp in nf.components()]
+    # each component along u = u(st), v = 0, s = -st^2, as a jet in st (variable 2)
+    st = Jet.variable(2, 3, order)
+    u_st = Jet(1, order, np.concatenate([[0.0], _branch_series(nf), [0.0]])).embed(3, (2,))
+    gamma = []
+    for comp in nf.components():
+        curve = comp.restrict(1).substitute(2, -(st * st)).substitute(0, u_st)
+        gamma.append(Jet(1, order, curve.c[0, 0]))
 
     g1 = np.array([g.c[1] for g in gamma])
     g2 = np.array([2.0 * g.c[2] for g in gamma])

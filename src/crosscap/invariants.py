@@ -19,7 +19,7 @@ already hold the derivatives, such as points of a normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -40,13 +40,15 @@ PARALLEL_TOL = 1e-9
 class FundamentalScalars:
     """A = f_u.f_u, B = |f_u x f_vv|^2, C = |f_u, f_uv, f_vv|, and the two
     auxiliary determinant combinations D and E (E_inv here, to keep the
-    first-fundamental-form letter free)."""
+    first-fundamental-form letter free).  E_inv is None in
+    ``SecondOrderFrame.scalars``; ``invariants_from_frame``, its only
+    reader, fills it in."""
 
     A: float
     B: float
     C: float
     D: float
-    E_inv: float
+    E_inv: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class SecondOrderFrame:
     @cached_property
     @float_contract
     def scalars(self) -> FundamentalScalars:
-        """The fundamental scalars, computed on first use."""
+        """The fundamental scalars but E, computed on first use."""
         f_u, f_uu, f_uv, f_vv = self.f_u, self.f_uu, self.f_uv, self.f_vv
         A = float(f_u @ f_u)
         cross = np.cross(f_u, f_vv)
@@ -78,9 +80,7 @@ class SecondOrderFrame:
         d_uuv = self.triple(f_u, f_uu, f_vv)
         d_uvu = self.triple(f_u, f_uv, f_uu)
         D = d_uuv**2 + 4.0 * C * d_uvu
-        gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
-        E = 2.0 * C * gram - B * d_uuv
-        return FundamentalScalars(A, B, C, D, E)
+        return FundamentalScalars(A, B, C, D, None)
 
 
 def frame_at(d: PointDerivatives) -> SecondOrderFrame:
@@ -170,7 +170,12 @@ def invariants_from_frame(frame: SecondOrderFrame):
     if not frame.cross_cap:
         raise DomainError("the point is not a cross-cap")
     fs = frame.scalars
-    A, B, C, D, E = fs.A, fs.B, fs.C, fs.D, fs.E_inv
+    f_u, f_uv, f_vv = frame.f_u, frame.f_uv, frame.f_vv
+    gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
+    # B as a numpy float, so that an overflowing product raises
+    E = 2.0 * fs.C * gram - np.float64(fs.B) * frame.triple(f_u, frame.f_uu, f_vv)
+    fs = replace(fs, E_inv=E)
+    A, B, C, D = fs.A, fs.B, fs.C, fs.D
     a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
     a11 = 0.5 / math.sqrt(A) / C**2 * E
     a02 = math.sqrt(A) * B**1.5 / C**2

@@ -7,8 +7,8 @@ laws hold coefficientwise up to floating-point rounding.
 
 Coefficients live in a dense cube ``c[i, j, k]`` with one axis per
 variable (one, two or three); cells above total degree ``order`` stay
-zero.  The truncated product, the kernel under composition and every
-Newton solve, is one numpy reduction over a cached table of the cell
+zero.  The truncated product, the kernel under ``Jet.substitute`` and
+every Newton solve, is one numpy reduction over a cached table of the cell
 pairs whose degrees sum to at most ``order`` (the index-table form of
 truncated Taylor arithmetic, Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -237,25 +236,28 @@ class Jet:
         out[tuple(dst)] = self.c[tuple(src)] * np.arange(1, n + 1).reshape(shape)
         return Jet(self.nvars, self.order, out, _trusted=True)
 
-    def compose(self, inners: Sequence["Jet"]):
-        """Substitute ``inners[i]`` for variable i; truncates at this order.
-
-        Every inner jet must share one arity and this order and have zero
-        constant term (otherwise truncation would not commute with
-        substitution).
-        """
-        if len(inners) != self.nvars:
-            raise UsageError(f"need {self.nvars} inner jets, got {len(inners)}")
-        m = inners[0].nvars
-        for g in inners:
-            if g.nvars != m or g.order != self.order:
-                raise UsageError("inner jets must share arity and order")
-            if g.c[(0,) * m] != 0.0:
-                raise UsageError("inner jet has nonzero constant term")
-        res = _compose_rec(self.c, inners, 0)
-        if not isinstance(res, Jet):
-            res = Jet.constant(res, m, self.order)
-        return res
+    def substitute(self, var, W):
+        """Substitute the jet W for variable ``var``, truncating at this order:
+        Horner over the slabs F_j along ``var``, F(..., W, ...) = sum_j F_j W^j,
+        where all-zero leading slabs cost no product.  W must be unbatched,
+        share this arity and order and have zero constant term (otherwise
+        truncation would not commute with substitution)."""
+        self._check_compatible(W)
+        if not 0 <= var < self.nvars or W.c.ndim != W.nvars or W.c[(0,) * W.nvars]:
+            raise UsageError(
+                f"substitute needs 0 <= var < {self.nvars} and an unbatched jet "
+                "with zero constant term"
+            )
+        acc = None
+        for j in range(self.order, -1, -1):
+            cut = (slice(None),) * var + (j,)
+            if acc is None and not self.c[cut].any():
+                continue
+            slab = np.zeros_like(self.c)
+            slab[cut[:-1] + (0,)] = self.c[cut]
+            slab = Jet(self.nvars, self.order, slab, _trusted=True)
+            acc = slab if acc is None else acc * W + slab
+        return acc if acc is not None else Jet.zeros(self.nvars, self.order)
 
     def eval(self, point):
         """Value of the stored polynomial at a numeric point (Horner)."""
@@ -352,19 +354,6 @@ def horner(c, point):
     return c
 
 
-def _compose_rec(c, inners, depth):
-    """Nested Horner over the coefficient cube; scalars stay scalars, so an
-    all-zero slice passes through as 0.0 and costs no jet product."""
-    if depth == len(inners):
-        return float(c)
-    res = _compose_rec(c[-1], inners, depth + 1)
-    x = inners[depth]
-    for i in range(c.shape[0] - 2, -1, -1):
-        low = _compose_rec(c[i], inners, depth + 1)
-        res = res * x + low if isinstance(res, Jet) or res != 0.0 else low
-    return res
-
-
 # -- reciprocal and square root ----------------------------------------------
 
 
@@ -403,16 +392,16 @@ def jet_sqrt(a: Jet) -> Jet:
 # -- implicit and inverse solves ----------------------------------------------
 
 
-def _newton_solve(F, dF, path, slot, W, target=None):
-    """Newton iteration in the series ring for F(path) = target (0 if None),
-    with the unknown W in ``path[slot]`` and dF the partial of F in that slot.
-    Each step doubles the contact order; W(0) stays 0 (the base point)."""
+def _newton_solve(F, dF, var, W, target=None):
+    """Newton iteration in the series ring for F(..., W, ...) = target (0 if
+    None), with the unknown W substituted for variable ``var`` and dF the
+    partial of F in that variable.  Each step doubles the contact order;
+    W(0) stays 0 (the base point)."""
     for _ in range(_newton_steps(F.order)):
-        path[slot] = W
-        res = F.compose(path)
+        res = F.substitute(var, W)
         if target is not None:
             res = res - target
-        W = W - res * jet_recip(dF.compose(path))
+        W = W - res * jet_recip(dF.substitute(var, W))
         W.c[(0,) * W.nvars] = 0.0
     return W
 
@@ -429,8 +418,8 @@ def implicit_solve(lam: Jet) -> Jet:
     lv = lam.partial(1)
     if lv.c[0, 0, 0] == 0.0:
         raise DegeneracyError("implicit_solve: d lam/dv vanishes at the base point")
-    u2, s2 = Jet.coordinates(2, lam.order)
-    return _newton_solve(lam, lv, [u2, None, s2], 1, Jet.zeros(2, lam.order))
+    # the iterate is a jet in (u, v, s) that does not depend on v
+    return _newton_solve(lam, lv, 1, Jet.zeros(3, lam.order)).subs(1, 0.0)
 
 
 def invert_coordinate(V: Jet, var: int) -> Jet:
@@ -447,9 +436,8 @@ def invert_coordinate(V: Jet, var: int) -> Jet:
     d0 = dV.c[(0,) * n]
     if d0 == 0.0:
         raise DegeneracyError("invert_coordinate: unit derivative required at 0")
-    coords = Jet.coordinates(n, order)
-    xv = coords[var]
-    return _newton_solve(V, dV, list(coords), var, xv * (1.0 / d0), target=xv)
+    xv = Jet.variable(var, n, order)
+    return _newton_solve(V, dV, var, xv * (1.0 / d0), target=xv)
 
 
 # -- quadratic branch solve -----------------------------------------------------
@@ -480,18 +468,10 @@ def branch_solve(F: Jet) -> np.ndarray:
             f"([u^2] = {cuu:.3e}, [t^2] = {ctt:.3e})"
         )
     Fu = F.partial(0)
-    t1 = Jet.variable(0, 1, order)
-    alphas = np.zeros(order)  # alphas[i] multiplies t^(i+1)
-    alphas[0] = math.sqrt(-ctt / cuu)
+    u_t = Jet.zeros(2, order)  # u(t) = sum_i alpha_i t^i as a jet in (u, t)
+    u_t.c[0, 1] = math.sqrt(-ctt / cuu)
     for k in range(2, order):
-        u_t = _series_from_alphas(alphas, order)
-        res = F.compose([u_t, t1])
-        slope = Fu.compose([u_t, t1]).c[1]
-        alphas[k - 1] = -res.c[k + 1] / slope
-    return alphas[: order - 1]
-
-
-def _series_from_alphas(alphas, order):
-    c = np.zeros(order + 1)
-    c[1 : 1 + len(alphas)] = alphas
-    return Jet(1, order, c, _trusted=True)
+        res = F.substitute(0, u_t)
+        slope = Fu.substitute(0, u_t).c[0, 1]
+        u_t.c[0, k] = -res.c[0, k + 1] / slope
+    return u_t.c[0, 1:order]

@@ -220,16 +220,22 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
         names = ", ".join(c.name for c in report.failing())
         raise DegeneracyError(f"deformation is not admissible: {names} failed")
 
-    u3, v3, s3 = Jet.coordinates(3, order)
+    u3, v3, _ = Jet.coordinates(3, order)
     steps = []
 
-    # source linear change: kernel of df_0 becomes the v-direction
+    # source linear change: kernel of df_0 becomes the v-direction.  With rows
+    # (a, b), (c, d) of lin, j(a u + b v, c u + d v) is j(u, (c u + det v) / a)
+    # with a u + b v then put for u; an exact u <-> v swap of the cube and the
+    # rows makes the pivot |a| = max(|a|, |b|) >= 1/sqrt(2)
     n = PointDerivatives.from_jets(jets).null_vector()
     t = np.array([n[1], -n[0]])
     lin = np.column_stack([t, n])
-    inner_u = float(t[0]) * u3 + float(n[0]) * v3
-    inner_v = float(t[1]) * u3 + float(n[1]) * v3
-    jets = [j.compose([inner_u, inner_v, s3]) for j in jets]
+    (a, b), (c, d) = lin.tolist()
+    if abs(a) < abs(b):
+        jets = [Jet(3, order, j.c.swapaxes(0, 1), _trusted=True) for j in jets]
+        (a, b), (c, d) = (c, d), (a, b)
+    inner_v = (c / a) * u3 + ((a * d - b * c) / a) * v3
+    jets = [j.substitute(1, inner_v).substitute(0, a * u3 + b * v3) for j in jets]
     steps.append(("source_linear", lin))
 
     # rotate the image line onto the x-axis
@@ -239,8 +245,7 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
 
     # make the first component the coordinate u
     P = invert_coordinate(jets[0], 0)
-    first_inverse = [P, v3, s3]
-    jets = [u3, jets[1].compose(first_inverse), jets[2].compose(first_inverse)]
+    jets = [u3, jets[1].substitute(0, P), jets[2].substitute(0, P)]
     steps.append(("source_straighten_u", P))
 
     # rotate about the x-axis: the v^2 part (f_vv / 2) moves entirely into
@@ -257,15 +262,14 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     # straighten the singular set of (u, f2): v -> v + sigma(u, s)
     lam = jets[1].partial(1)
     sigma = implicit_solve(lam)
-    shift = [u3, v3 + sigma.embed(3, (0, 2)), s3]
-    jets = [u3, jets[1].compose(shift), jets[2].compose(shift)]
+    shift = v3 + sigma.embed(3, (0, 2))
+    jets = [u3, jets[1].substitute(1, shift), jets[2].substitute(1, shift)]
     steps.append(("source_shift_v", sigma))
 
     # rescale v so that f2 = f2(u, 0, s) + v^2 exactly
     g = (jets[1] - jets[1].restrict(1)).divide_monomial((0, 2, 0))
     W = invert_coordinate(v3 * jet_sqrt(g), 1)
-    rescale = [u3, W, s3]
-    jets = [u3, jets[1].compose(rescale), jets[2].compose(rescale)]
+    jets = [u3, jets[1].substitute(1, W), jets[2].substitute(1, W)]
     steps.append(("source_rescale_v", W))
 
     jy, jz = _project(jets[1], jets[2])
@@ -361,9 +365,8 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
             "cannot normalize the deformation parameter: d f33/ds (0,0) = 0"
         )
     hinv = invert_coordinate(h, 0)
-    u3, v3, _ = Jet.coordinates(3, order)
-    sub = [u3, v3, hinv.embed(3, (2,))]
-    jy, jz = _project(nf.jy.compose(sub), nf.jz.compose(sub))
+    s_new = hinv.embed(3, (2,))
+    jy, jz = _project(nf.jy.substitute(2, s_new), nf.jz.substitute(2, s_new))
     out = NormalFormData(
         rotation=nf.rotation,
         source_steps=nf.source_steps + (("reparametrize_s", hinv),),

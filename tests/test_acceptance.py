@@ -124,8 +124,8 @@ def test_criterion_03_locus_expansion():
         assert abs(le.alpha_oracle[0] - le.alpha1) <= 1e-9
         assert abs(le.alpha_oracle[1] - le.alpha2) <= 1e-9
         # alpha3 against the substitution oracle, independently recomputed
-        u2, t2 = Jet.coordinates(2, 8)
-        F = nf.f33.compose([u2, -(t2 * t2)])
+        t2 = Jet.variable(1, 2, 8)
+        F = nf.f33.substitute(1, -(t2 * t2))
         residual = compose_poly_1var(F.c, le.alpha_oracle, 8)
         worst_resid = max(worst_resid, float(np.max(np.abs(residual[:9]))))
         assert abs(le.alpha3 - le.alpha_oracle[2]) <= 1e-9
@@ -305,17 +305,16 @@ def test_criterion_11_jet_kernel_properties():
         worst = max(worst, dev(jet_recip(pos) * pos, Jet.constant(1.0, 3, 8)))
 
     # implicit and inverse solves leave no residual
-    u2, s2 = Jet.coordinates(2, 8)
-    u3, v3, s3 = Jet.coordinates(3, 8)
+    v3 = Jet.variable(1, 3, 8)
     for _ in range(5):
         lam = random_jet(rng, 3, 8, scale=0.3)
         lam.c[0, 0, 0] = 0.0
         lam.c[0, 1, 0] = 1.5
         sigma = implicit_solve(lam)
-        res = lam.compose([u2, sigma, s2])
+        res = lam.substitute(1, sigma.embed(3, (0, 2)))
         worst = max(worst, res.max_abs() / (1 + lam.max_abs()))
         V = v3 + random_jet(rng, 3, 8, scale=0.2) * (v3 * v3)
         W = invert_coordinate(V, 1)
-        worst = max(worst, dev(V.compose([u3, W, s3]), v3))
+        worst = max(worst, dev(V.substitute(1, W), v3))
     assert worst < 1e-12
     _report(11, f"ring, Leibniz, sqrt, reciprocal and solver residuals all below {worst:.2e}")

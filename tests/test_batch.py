@@ -130,6 +130,22 @@ def test_mesh_grid_bound_refuses_before_allocating(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_grid_bound_refuses_before_allocating(capsys, tmp_path):
+    tracemalloc.start()
+    try:
+        code = cli.main(
+            ["trace", "--germ", MODEL_S1_PLUS, "--s-tilde-grid", "0.1:2:100000000",
+             "--out", str(tmp_path)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(cli.MAX_GRID_POINTS) in capsys.readouterr().out
+    assert peak < 10_000_000
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_batched_library_calls_raise_domain_error_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -102,6 +102,8 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "1e-200"),
         # the pair root alpha1 * st ~ 1.58 lies outside the window |u| <= 1
         ("gauss-probe", "--germ", "100*u; 100*(v^2); 100*(u^2 + v^3 + u^2*v + s*v)"),
+        # E's product B * d_uuv leaves the float range
+        ("analyze", "--germ", "1e0*u; 1e100*v^2; 1e20*u^2 + 1e0*u*v", "--point", "0,0"),
     ],
 )
 def test_analyze_non_finite_input_is_domain_error(capsys, tmp_path, option):

@@ -106,34 +106,80 @@ def test_leibniz_rule(rng):
             assert np.max(np.abs(diff.c * mask)) <= REL * scale
 
 
-# -- composition ------------------------------------------------------------------
+# -- substitution -----------------------------------------------------------------
 
 
-def test_compose_shift():
-    outer = Jet.variable(0, 1, 2) * Jet.variable(0, 1, 2)  # u^2
-    u, v = Jet.coordinates(2, 2)
-    res = outer.compose([u + v])
-    assert np.allclose(res.c, ((u + v) * (u + v)).c)
-
-
-def test_compose_identity(rng):
+def test_substitute_identity(rng):
     a = random_jet(rng, 3, 6)
-    res = a.compose(list(Jet.coordinates(3, 6)))
-    assert rel_close(res, a)
+    for var in range(3):
+        assert rel_close(a.substitute(var, Jet.variable(var, 3, 6)), a)
 
 
-def test_compose_linear_shear():
-    outer = Jet.variable(0, 2, 3)  # picks out the first slot
+def test_substitute_linear_shear():
+    u, v, s = Jet.coordinates(3, 3)
+    for var, shear in ((0, u + 0.5 * v), (1, v - 2.0 * s), (2, s + 0.25 * u)):
+        res = (u * v * s).substitute(var, shear)
+        factors = [u, v, s]
+        factors[var] = shear
+        assert np.allclose(res.c, (factors[0] * factors[1] * factors[2]).c)
+
+
+def test_substitute_rejects_constant_term():
     u, v = Jet.coordinates(2, 3)
-    res = outer.compose([v + 0.5 * u, u])
-    assert np.allclose(res.c, (v + 0.5 * u).c)
-
-
-def test_compose_rejects_constant_terms():
-    outer = Jet.variable(0, 1, 3)
-    bad = Jet.constant(1.0, 1, 3)
     with pytest.raises(UsageError):
-        outer.compose([bad])
+        (u * v).substitute(0, 1.0 + v)
+
+
+def test_substitute_rejects_arity_and_order_mismatch():
+    outer = Jet.variable(0, 2, 3)
+    batch = Jet(2, 3, np.stack([outer.c, outer.c]))
+    for bad in (Jet.variable(0, 1, 3), Jet.variable(0, 3, 3), Jet.variable(0, 2, 4), batch):
+        with pytest.raises(UsageError):
+            outer.substitute(0, bad)
+    with pytest.raises(UsageError):
+        outer.substitute(2, outer)  # no third variable
+
+
+def _dyadic_jet(rng, nvars, order, constant=True):
+    shape = (order + 1,) * nvars
+    c = rng.integers(-16, 17, size=shape) / 8.0
+    c *= rng.random(size=shape) < 0.5
+    if not constant:
+        c[(0,) * nvars] = 0.0
+    return Jet(nvars, order, c)
+
+
+def test_substitute_matches_sympy_oracle():
+    """Every axis of random dyadic jets in 1-3 variables at orders 1-5
+    against sympy's exact substitution F(..., W, ...), truncated at total
+    degree ``order``."""
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        nvars, order = 1 + trial % 3, 1 + (trial // 3) % 5
+        ring, *xs = sp.ring([f"x{i}" for i in range(nvars)], sp.QQ)
+
+        def exact(jet):
+            terms = {
+                tuple(int(e) for e in idx): sp.QQ(int(jet.c[idx] * 8), 8)
+                for idx in zip(*np.nonzero(jet.c))
+            }
+            return ring(terms or 0)
+
+        F = _dyadic_jet(rng, nvars, order)
+        for var in range(nvars):
+            W = _dyadic_jet(rng, nvars, order, constant=False)
+            args = list(xs)
+            args[var] = exact(W)
+            image = ring.zero  # expanded term by term: F's monomials with W put in
+            for mono, coeff in exact(F).terms():
+                image += coeff * math.prod(x**e for x, e in zip(args, mono) if e)
+            want = np.zeros(F.c.shape)
+            for mono, coeff in image.terms():
+                if sum(mono) <= order:
+                    want[mono] = float(coeff)
+            got = F.substitute(var, W).c
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 # -- sqrt / recip ------------------------------------------------------------------
@@ -199,14 +245,13 @@ def test_implicit_solve_quadratic_residual(rng):
     sigma = implicit_solve(lam)
     assert abs(sigma.c[2, 0] + 0.5) <= REL and abs(sigma.c[1, 1] + 0.5) <= REL
     # residual lam(u, sigma, s) vanishes to order N
-    u2, s2 = Jet.coordinates(2, 8)
-    res = lam.compose([u2, sigma, s2])
+    res = lam.substitute(1, sigma.embed(3, (0, 2)))
     assert res.max_abs() <= REL
     # a generic random solvable case
     lam2 = random_jet(rng, 3, 8, scale=0.3)
     lam2.c[0, 0, 0] = 0.0
     lam2.c[0, 1, 0] = 1.3
-    res2 = lam2.compose([u2, implicit_solve(lam2), s2])
+    res2 = lam2.substitute(1, implicit_solve(lam2).embed(3, (0, 2)))
     assert res2.max_abs() <= REL * (1 + lam2.max_abs())
 
 
@@ -231,18 +276,18 @@ def test_map_invert_identity():
 
 
 def test_map_invert_two_sided(rng):
-    u3, v3, s3 = Jet.coordinates(3, 8)
+    u3, v3, _ = Jet.coordinates(3, 8)
     V = v3 * (1 + u3)
     W = invert_coordinate(V, 1)
     # v(1 - u + u^2 - ...) is the expected inverse second component
     geom = v3 * jet_recip(1 + u3)
     assert rel_close(W, geom)
-    assert rel_close(V.compose([u3, W, s3]), v3)
-    assert rel_close(W.compose([u3, V, s3]), v3)
+    assert rel_close(V.substitute(1, W), v3)
+    assert rel_close(W.substitute(1, V), v3)
     # random perturbation with unit v-derivative
     V2 = v3 + random_jet(rng, 3, 8, scale=0.2) * (v3 * v3)
     W2 = invert_coordinate(V2, 1)
-    assert rel_close(V2.compose([u3, W2, s3]), v3, tol=1e-11)
+    assert rel_close(V2.substitute(1, W2), v3, tol=1e-11)
 
 
 def test_map_invert_shape_errors():
@@ -255,7 +300,7 @@ def test_invert_series_round_trip():
     t = Jet.variable(0, 1, 8)
     h = 2 * t + t * t
     hinv = invert_coordinate(h, 0)
-    assert rel_close(h.compose([hinv]), t)
+    assert rel_close(h.substitute(0, hinv), t)
 
 
 # -- branch solve ------------------------------------------------------------------

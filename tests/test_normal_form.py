@@ -83,6 +83,19 @@ def test_prerotated_and_sheared_input_reduces_back(s1_plus):
     assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
 
 
+@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+def test_source_rotation_reduces_back_through_either_pivot(s1_plus, theta):
+    """A source rotation by theta moves the kernel of df to angle theta from
+    the v-axis; past pi/4 the linear step swaps u and v before substituting."""
+    c, s = math.cos(theta), math.sin(theta)
+    rotate = DiffeoSpec(
+        parse_expr(f"{c!r}*u - {s!r}*v"), parse_expr(f"{s!r}*u + {c!r}*v"), parse_expr("s")
+    )
+    _, cs_g = pipeline(apply_equivalence(s1_plus, rotate, np.eye(3)))
+    _, cs_f = pipeline(s1_plus)
+    assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
+
+
 def test_cross_cap_deformation_rejected():
     f = MapGerm.parse("u; u*v + s*v; v^2")
     with pytest.raises(DegeneracyError, match="cross-cap"):
