@@ -301,24 +301,24 @@ def cmd_focal(args):
     report = _meta(args)
     if germ.kind == "deformation":
         nf = nfm.reduce(germ, args.order)
-        records = da.singular_locus(nf, args.s)
         if args.point is not None:
             point = _parse_point(args.point)
+            frame = pi.frame_at(nf.derivatives((*point, args.s)))
         else:
+            records = da.singular_locus(nf, args.s)
             if not records:
                 raise DomainError(f"no singular point at s = {args.s}")
             umb = [r for r in records if r.cls == "umbrella" and r.point[0] > 0]
             record = umb[0] if umb else records[0]
-            point = record.point
-        d = nf.derivatives((*point, args.s))
+            point, frame = record.point, record.frame
         report["s"] = args.s
         report["coordinates"] = "normal-form source"
     else:
         if args.point is None:
             raise UsageError("a plain germ needs an explicit --point")
         point = _parse_point(args.point)
-        d = germ.derivatives(point)
-    conic = pi.focal_conic_from_frame(pi.frame_at(d))
+        frame = pi.frame_at(germ.derivatives(point))
+    conic = pi.focal_conic_from_frame(frame)
     report["point"] = list(point)
     report["conic"] = _conic_dict(conic)
     return report, {"focal.svg": conic_svg(conic), "focal.json": None}

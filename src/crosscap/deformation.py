@@ -26,7 +26,7 @@ from .errors import ConsistencyError, DegeneracyError, DomainError, UsageError
 from .errors import float_contract
 from .germs import MapGerm
 from .invariants import (
-    UmbrellaInvariants,
+    SecondOrderFrame,
     focal_conic_from_frame,
     form_bundle_from,
     frame_at,
@@ -52,21 +52,19 @@ DEFAULT_GRID = tuple(0.1 * 2.0**-j for j in range(7))
 
 @dataclass(frozen=True)
 class SingularPointRecord:
-    s_tilde: float
     point: tuple
     cls: str  # "umbrella" | "S1" | "degenerate"
-    inv: Optional[UmbrellaInvariants]
-    conic_kind: Optional[str]
+    frame: SecondOrderFrame
     residual: float
 
 
 @float_contract
 def singular_locus(nf: NormalFormData, s: float):
     """Singular points of the reduced germ at fixed parameter: v = 0 and
-    f33(u, s) = 0 with |u| <= 1, classified pointwise."""
+    f33(u, s) = 0 with |u| <= 1, classified pointwise by the frame at each;
+    callers build further geometry from the frames they need."""
     _pair_alpha1(nf)
     poly, roots = _locus_roots(nf, s)
-    st = math.sqrt(-s) if s <= 0 else float("nan")
     records = []
     for u0 in roots:
         residual = abs(float(np.polynomial.polynomial.polyval(u0, poly)))
@@ -76,13 +74,11 @@ def singular_locus(nf: NormalFormData, s: float):
                 f"{residual:.3e}"
             )
         frame = frame_at(nf.derivatives((u0, 0.0, s)))
-        kind = focal_conic_from_frame(frame).kind
         if frame.cross_cap:
-            cls, inv = "umbrella", invariants_from_frame(frame)[1]
+            cls = "umbrella"
         else:
             cls = "S1" if abs(u0) <= 1e-7 and abs(s) <= 1e-12 else "degenerate"
-            inv = None
-        records.append(SingularPointRecord(st, (u0, 0.0), cls, inv, kind, residual))
+        records.append(SingularPointRecord((u0, 0.0), cls, frame, residual))
     return records
 
 
@@ -221,9 +217,10 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     """Invariants of both cross-caps along a geometric grid in st.
 
     Returns (TraceTable, NormalFormData, CoefficientSet); rows keep the
-    positive-branch invariants.  Each row pairs the two distinct
-    ``singular_locus`` records nearest to +-alpha1 st; an st without such a
-    pair gets no row, and c2(0) < 0 gives no rows at all.
+    positive-branch invariants and focal conic, built from that record's
+    frame only.  Each row pairs the two distinct ``singular_locus`` records
+    nearest to +-alpha1 st; an st without such a pair gets no row, and
+    c2(0) < 0 gives no rows at all.
     """
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
@@ -237,15 +234,16 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
         minus = min(records, key=lambda r: abs(r.point[0] + alpha1 * st), default=None)
         if plus is minus:  # no root, or one root nearest to both
             continue
-        if plus.inv is None:
+        kind = focal_conic_from_frame(plus.frame).kind
+        if not plus.frame.cross_cap:
             raise DegeneracyError(
                 f"trace: the point (u, 0) = ({plus.point[0]:.6g}, 0) at st = {st:.6g} "
                 "is not a cross-cap"
             )
-        inv = plus.inv
+        inv = invariants_from_frame(plus.frame)[1]
         rows.append(
             TraceRow(st, plus.point[0], minus.point[0], inv.a20, inv.a11, inv.a02,
-                     inv.ku_ext, inv.ka, plus.conic_kind)
+                     inv.ku_ext, inv.ka, kind)
         )
     return TraceTable(tuple(rows)), nf, cs
 
@@ -341,7 +339,7 @@ class GaussProbeReport:
     u_of_st: float
     agreement: float  # fraction of samples whose K sign matches the product rule
     mismatches: tuple
-    s_tilde_max_agree: Optional[float]
+    s_tilde_max_agree: float
 
 
 def default_theta_grid() -> np.ndarray:
@@ -355,19 +353,17 @@ def default_k_grid() -> np.ndarray:
 
 
 @float_contract
-def gauss_sign_probe(
-    nf: NormalFormData, s_tilde: float, search_s0: bool = True
-) -> GaussProbeReport:
+def gauss_sign_probe(nf: NormalFormData, s_tilde: float) -> GaussProbeReport:
     """Compare the sign of K = L N - M^2 near the singular segment with the
     sign of st * sin(theta) * f31(0).
 
     The sample points live in the source coordinates of the normal form,
     whose parameter must be normalized: the default theta grid times the
-    default k grid, a fraction of the theta-dependent radius R.  When
-    ``search_s0`` is set, a bisection locates the largest st in (0, 1/2]
-    for which every sample agrees.  An st with u(st) = 0 (st = 0, or st^2
-    below the float range) puts every sample at the S1 point and is a
-    DomainError; so are an st without a locus root in |u| <= 1 and c2(0) <= 0.
+    default k grid, a fraction of the theta-dependent radius R.  A
+    bisection then locates the largest st in (0, 1/2] for which every
+    sample agrees.  An st with u(st) = 0 (st = 0, or st^2 below the float
+    range) puts every sample at the S1 point and is a DomainError; so are
+    an st without a locus root in |u| <= 1 and c2(0) <= 0.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
@@ -386,21 +382,16 @@ def gauss_sign_probe(
     if math.isnan(u_st):
         raise DomainError(f"no locus root u(st) in the window |u| <= 1 at st = {s_tilde:g}")
 
-    st_max = None
-    if search_s0:
-        lo, hi = 0.0, 0.5
-        ok_hi, _, _ = probe(hi)
-        if ok_hi == 1.0:
-            st_max = hi
-        else:
-            for _ in range(20):
-                mid = 0.5 * (lo + hi)
-                ok, _, _ = probe(mid)
-                if ok == 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            st_max = lo
+    lo, hi = 0.0, 0.5
+    if probe(hi)[0] == 1.0:
+        lo = hi
+    else:
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            if probe(mid)[0] == 1.0:
+                lo = mid
+            else:
+                hi = mid
     return GaussProbeReport(
         s_tilde=s_tilde,
         thetas=thetas,
@@ -408,7 +399,7 @@ def gauss_sign_probe(
         u_of_st=u_st,
         agreement=agreement,
         mismatches=mismatches,
-        s_tilde_max_agree=st_max,
+        s_tilde_max_agree=lo,
     )
 
 

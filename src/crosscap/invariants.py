@@ -1,10 +1,11 @@
 """Second-order geometry at rank-1 points of a surface germ.
 
 Everything here is read from one ``germs.PointDerivatives`` object: the
-five derivative vectors f_u, f_v, f_uu, f_uv, f_vv at the point, taken in
-source coordinates aligned so the kernel of df is the v-direction (with v
-flipped, when needed, to make the Whitney triple C = |f_u, f_uv, f_vv|
-positive).  That convention pins the sign of the mixed invariant a11.
+derivative vectors f_u, f_uu, f_uv, f_vv at the point (f_v vanishes),
+taken in source coordinates aligned so the kernel of df is the
+v-direction (with v flipped, when needed, to make the Whitney triple
+C = |f_u, f_uv, f_vv| positive).  That convention pins the sign of the
+mixed invariant a11.
 ``frame_at`` decides once whether the point is a cross-cap (C does not
 vanish) and stores the answer on the frame; everything else reads it:
 the Whitney test, the invariants, the curvature parabola, which is a
@@ -58,7 +59,6 @@ class SecondOrderFrame:
     decision read from it."""
 
     f_u: np.ndarray
-    f_v: np.ndarray
     f_uu: np.ndarray
     f_uv: np.ndarray
     f_vv: np.ndarray
@@ -90,18 +90,16 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     n = d.null_vector()
     t = np.array([n[1], -n[0]])
     f_u = d.grad @ t
-    f_v = d.grad @ n
     f_uu = np.einsum("cij,i,j->c", d.hess, t, t)
     f_uv = np.einsum("cij,i,j->c", d.hess, t, n)
     f_vv = np.einsum("cij,i,j->c", d.hess, n, n)
     C = np.linalg.det(np.column_stack([f_u, f_uv, f_vv]))
     if C < 0.0:
         f_uv = -f_uv
-        f_v = -f_v
         C = -C
     scale = np.linalg.norm(f_u) * np.linalg.norm(f_vv) * np.linalg.norm(f_uv)
     cross_cap = bool(C > WHITNEY_TOL * (scale + 1.0))
-    return SecondOrderFrame(f_u, f_v, f_uu, f_uv, f_vv, C, cross_cap)
+    return SecondOrderFrame(f_u, f_uu, f_uv, f_vv, C, cross_cap)
 
 
 def _plain_frame(f: MapGerm, point) -> SecondOrderFrame:
@@ -307,14 +305,11 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
 
 @dataclass(frozen=True)
 class FormBundle:
-    """First-form scalars, normal-scaled second-form scalars and their
-    discriminant K = L N - M^2, whose sign is the Gaussian-curvature sign
-    away from singular points.  Built from derivatives at N points, every
-    field is an array of N values."""
+    """Normal-scaled second-form scalars and their discriminant
+    K = L N - M^2, whose sign is the Gaussian-curvature sign away from
+    singular points.  Built from derivatives at N points, every field is
+    an array of N values."""
 
-    E1: float
-    F1: float
-    G1: float
     L: float
     M: float
     N_: float
@@ -333,10 +328,10 @@ def _dot(a, b):
 
 
 def form_bundle_from(d: PointDerivatives) -> FormBundle:
-    """The forms at one point or, from batched derivatives, at N points."""
+    """The second form at one point or, from batched derivatives, at N
+    points."""
     f_u, f_v = d.grad[..., 0], d.grad[..., 1]
     f_uu, f_uv, f_vv = d.hess[..., 0, 0], d.hess[..., 0, 1], d.hess[..., 1, 1]
     normal = np.cross(f_u, f_v)
     L, M, N_ = _dot(f_uu, normal), _dot(f_uv, normal), _dot(f_vv, normal)
-    E1, F1, G1 = _dot(f_u, f_u), _dot(f_u, f_v), _dot(f_v, f_v)
-    return FormBundle(E1, F1, G1, L, M, N_, L * N_ - M * M)
+    return FormBundle(L, M, N_, L * N_ - M * M)

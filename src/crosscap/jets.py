@@ -18,8 +18,8 @@ N jets about N base points, propagated together (vector-mode Taylor
 arithmetic, ibid.).  The ring operations, ``jet_recip`` and ``jet_sqrt``
 accept batched jets and mix them with unbatched ones; each row gets
 exactly the floating-point operations, in the same order, that the row
-would get on its own.  The calculus and coefficient methods read one cube
-and need unbatched jets.  ``horner`` likewise evaluates at arrays of
+would get on its own.  The calculus methods read one cube and need
+unbatched jets.  ``horner`` likewise evaluates at arrays of
 points.
 """
 
@@ -188,36 +188,8 @@ class Jet:
 
     # -- coefficient access ------------------------------------------------
 
-    def coeff(self, idx):
-        """Coefficient of the monomial with exponents ``idx``."""
-        if len(idx) != self.nvars:
-            raise UsageError("multi-index arity mismatch")
-        return float(self.c[tuple(idx)])
-
-    def deriv0(self, idx):
-        """Partial derivative at the base point: coeff times factorials."""
-        fac = 1.0
-        for e in idx:
-            fac *= math.factorial(e)
-        return self.coeff(idx) * fac
-
     def max_abs(self):
         return float(np.max(np.abs(self.c)))
-
-    def __repr__(self):
-        names = "uvs" if self.nvars > 1 else "t"
-        terms = []
-        for idx in zip(*np.nonzero(self.c)):
-            mono = "".join(
-                f"{names[i]}^{e}" if e > 1 else (names[i] if e == 1 else "")
-                for i, e in enumerate(idx)
-            )
-            terms.append(f"{self.c[idx]:.6g}{('*' + mono) if mono else ''}")
-            if len(terms) > 8:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"<Jet {self.nvars}v order {self.order}: {body}>"
 
     # -- calculus ----------------------------------------------------------
 
@@ -259,16 +231,10 @@ class Jet:
             acc = slab if acc is None else acc * W + slab
         return acc if acc is not None else Jet.zeros(self.nvars, self.order)
 
-    def eval(self, point):
-        """Value of the stored polynomial at a numeric point (Horner)."""
-        if len(point) != self.nvars:
-            raise UsageError("point arity mismatch")
-        return float(horner(self.c, point))
-
     def subs(self, var, value):
         """Substitute a numeric value for one variable; arity drops by one."""
         if self.nvars == 1:
-            raise UsageError("cannot drop the last variable; use eval")
+            raise UsageError("cannot drop the last variable; use horner")
         acc = horner(np.moveaxis(self.c, var, -1), (value,))
         return Jet(self.nvars - 1, self.order, acc, _trusted=True)
 

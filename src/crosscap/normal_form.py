@@ -65,12 +65,11 @@ def _series(component, block):
 
 @dataclass(frozen=True)
 class NormalFormData:
-    """Rotation, source-change log, and the components y, z in (u, v, s),
-    stored in exactly the normal-form shape; the six coefficient series
-    are coefficient blocks of them."""
+    """Rotation and the components y, z in (u, v, s), stored in exactly
+    the normal-form shape; the six coefficient series are coefficient
+    blocks of them."""
 
     rotation: np.ndarray
-    source_steps: tuple
     jy: Jet
     jz: Jet
     order: int
@@ -221,7 +220,6 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
         raise DegeneracyError(f"deformation is not admissible: {names} failed")
 
     u3, v3, _ = Jet.coordinates(3, order)
-    steps = []
 
     # source linear change: kernel of df_0 becomes the v-direction.  With rows
     # (a, b), (c, d) of lin, j(a u + b v, c u + d v) is j(u, (c u + det v) / a)
@@ -236,7 +234,6 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
         (a, b), (c, d) = (c, d), (a, b)
     inner_v = (c / a) * u3 + ((a * d - b * c) / a) * v3
     jets = [j.substitute(1, inner_v).substitute(0, a * u3 + b * v3) for j in jets]
-    steps.append(("source_linear", lin))
 
     # rotate the image line onto the x-axis
     w = PointDerivatives.from_jets(jets).grad[:, 0]
@@ -246,7 +243,6 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     # make the first component the coordinate u
     P = invert_coordinate(jets[0], 0)
     jets = [u3, jets[1].substitute(0, P), jets[2].substitute(0, P)]
-    steps.append(("source_straighten_u", P))
 
     # rotate about the x-axis: the v^2 part (f_vv / 2) moves entirely into
     # component 2
@@ -264,18 +260,15 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     sigma = implicit_solve(lam)
     shift = v3 + sigma.embed(3, (0, 2))
     jets = [u3, jets[1].substitute(1, shift), jets[2].substitute(1, shift)]
-    steps.append(("source_shift_v", sigma))
 
     # rescale v so that f2 = f2(u, 0, s) + v^2 exactly
     g = (jets[1] - jets[1].restrict(1)).divide_monomial((0, 2, 0))
     W = invert_coordinate(v3 * jet_sqrt(g), 1)
     jets = [u3, jets[1].substitute(1, W), jets[2].substitute(1, W)]
-    steps.append(("source_rescale_v", W))
 
     jy, jz = _project(jets[1], jets[2])
     return NormalFormData(
         rotation=T2 @ T1,
-        source_steps=tuple(steps),
         jy=jy,
         jz=jz,
         order=order,
@@ -369,7 +362,6 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
     jy, jz = _project(nf.jy.substitute(2, s_new), nf.jz.substitute(2, s_new))
     out = NormalFormData(
         rotation=nf.rotation,
-        source_steps=nf.source_steps + (("reparametrize_s", hinv),),
         jy=jy,
         jz=jz,
         order=order,

@@ -173,8 +173,8 @@ def test_criterion_05_dichotomy():
 def test_criterion_06_gauss_sign_law():
     fp = MapGerm.parse(F_PLUS)
     fm = MapGerm.parse(F_MINUS)
-    rep_p = gauss_sign_probe(normalize_parameter(reduce(fp)), 0.05, search_s0=False)
-    rep_m = gauss_sign_probe(normalize_parameter(reduce(fm)), 0.05, search_s0=False)
+    rep_p = gauss_sign_probe(normalize_parameter(reduce(fp)), 0.05)
+    rep_m = gauss_sign_probe(normalize_parameter(reduce(fm)), 0.05)
     assert rep_p.agreement == 1.0 and rep_m.agreement == 1.0
     assert len(rep_p.thetas) * len(rep_p.k_fracs) == 16 * 8
 

@@ -84,6 +84,7 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         ("focal", "--germ", MODEL_S1_PLUS, "--s", "nan"),
         ("focal", "--germ", MODEL_S1_PLUS, "--s", "inf"),
         ("focal", "--germ", MODEL_S1_PLUS, "--s=-inf"),
+        ("focal", "--germ", MODEL_S1_PLUS, "--s", "nan", "--point", "0,0"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "nan"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "inf"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde=-inf"),
@@ -377,6 +378,16 @@ def test_focal_no_singular_point_is_domain_error(capsys):
     code, out = run(capsys, "focal", "--germ", MODEL_S1_PLUS, "--s", "1")
     assert code == 3
     assert last_json(out)["error"]["type"] == "math-domain"
+
+
+def test_focal_point_needs_no_singular_locus(capsys):
+    """With --point the locus is not searched, so a germ whose locus is
+    unsupported (c2(0) = 0) still gets the conic at a point on it."""
+    germ = "u; v^2; u^2 + v^3 + u^3*v + s*v"
+    code, out = run(capsys, "focal", "--germ", germ, "--s", "-0.01",
+                    "--point", "0.21544346900318837,0")
+    assert code == 0
+    assert last_json(out)["conic"]["kind"] == "hyperbola"
 
 
 # -- gauss-probe --------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from crosscap import deformation
 from crosscap.deformation import (
     asymptotic_limits,
     default_k_grid,
@@ -14,9 +17,10 @@ from crosscap.deformation import (
 )
 from crosscap.errors import DegeneracyError, DomainError, UsageError
 from crosscap.germs import MapGerm
-from crosscap.invariants import form_bundle
+from crosscap.invariants import form_bundle, invariants_from_frame
 from crosscap.jets import Jet
 from crosscap.normal_form import normalize_parameter, reduce, scalar_coefficients
+from crosscap.reports import trace_csv
 
 F_PLUS = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"
 F_MINUS = "u; v^2 + u*s; -u^2 + v^3 + u^2*v + v*s"
@@ -55,7 +59,7 @@ def test_singular_locus_pair(s1_plus):
         assert r.cls == "umbrella"
         assert r.point[1] == 0.0
         assert r.residual < 1e-10
-        assert r.inv.a02 > 0
+        assert invariants_from_frame(r.frame)[1].a02 > 0
 
 
 def test_singular_locus_empty_for_positive_parameter(s1_plus):
@@ -150,6 +154,28 @@ def test_trace_rows_hold_two_distinct_points():
     assert table.column("s_tilde").tolist() == GRID[5:]
     assert np.all(table.column("u_minus") < 0)
     assert np.all(table.column("u_plus") > 0)
+
+
+# SHA-256 of the trace.csv that the README trace command writes
+README_TRACE_CSV = "50f40bc3d81d45d2257d967333eba01a15524669654c263c5fc91a21ee9044db"
+
+
+def test_trace_builds_geometry_once_per_row(monkeypatch):
+    """The invariants and the focal conic are built at the reported plus
+    point only, not at every locus root."""
+    calls = []
+    for name in ("invariants_from_frame", "focal_conic_from_frame"):
+        original = getattr(deformation, name)
+
+        def counted(frame, original=original, name=name):
+            calls.append(name)
+            return original(frame)
+
+        monkeypatch.setattr(deformation, name, counted)
+    table, _, _ = trace(MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v"), GRID)
+    assert len(table.rows) == 7
+    assert calls.count("invariants_from_frame") == calls.count("focal_conic_from_frame") == 7
+    assert hashlib.sha256(trace_csv(table).encode()).hexdigest() == README_TRACE_CSV
 
 
 def test_c2_zero_is_one_degeneracy_error():
@@ -258,13 +284,11 @@ def test_gauss_probe_pointwise_signs():
 def test_gauss_probe_reports(s1_plus):
     for text in (F_PLUS, F_MINUS):
         nf = normalize_parameter(reduce(MapGerm.parse(text)))
-        rep = gauss_sign_probe(nf, 0.05, search_s0=True)
+        rep = gauss_sign_probe(nf, 0.05)
         assert rep.agreement == 1.0
-        assert rep.s_tilde_max_agree is not None
+        assert 0.0 < rep.s_tilde_max_agree <= 0.5
         # full agreement persists at half the reported threshold
-        rep_half = gauss_sign_probe(
-            nf, rep.s_tilde_max_agree / 2, search_s0=False
-        )
+        rep_half = gauss_sign_probe(nf, rep.s_tilde_max_agree / 2)
         assert rep_half.agreement == 1.0
     nf0 = normalize_parameter(reduce(s1_plus))
     with pytest.raises(DomainError):
@@ -281,7 +305,7 @@ def test_derivative_constructors_agree_at_probe_samples():
         for st in (0.025, 0.05, 0.1):
             s = -(st**2)
             frozen = f.at_parameter(s)
-            u_st = gauss_sign_probe(nf, st, search_s0=False).u_of_st
+            u_st = gauss_sign_probe(nf, st).u_of_st
             for theta in default_theta_grid():
                 for frac in default_k_grid():
                     x, y = frac * u_st * np.cos(theta), frac * u_st * np.sin(theta)

@@ -134,10 +134,11 @@ def test_jet_at_matches_finite_differences():
             - num(i, (p[0] - h, p[1] + h))
             + num(i, (p[0] - h, p[1] - h))
         ) / (4 * h**2)
-        assert abs(jets[i].deriv0((1, 0)) - du) <= 1e-6
-        assert abs(jets[i].deriv0((0, 1)) - dv) <= 1e-6
-        assert abs(jets[i].deriv0((2, 0)) - duu) <= 1e-6
-        assert abs(jets[i].deriv0((1, 1)) - duv) <= 1e-6
+        c = jets[i].c  # Taylor coefficients: duu is 2! c[2, 0]
+        assert abs(c[1, 0] - du) <= 1e-6
+        assert abs(c[0, 1] - dv) <= 1e-6
+        assert abs(2.0 * c[2, 0] - duu) <= 1e-6
+        assert abs(c[1, 1] - duv) <= 1e-6
 
 
 def test_jet_at_sqrt_matches_jet_sqrt():

@@ -8,6 +8,7 @@ from crosscap.errors import DegeneracyError, DomainError, UsageError
 from crosscap.jets import (
     Jet,
     branch_solve,
+    horner,
     implicit_solve,
     invert_coordinate,
     jet_recip,
@@ -364,7 +365,9 @@ def test_divide_monomial():
 def test_eval_and_subs():
     u3, v3, s3 = Jet.coordinates(3, 4)
     j = u3 * u3 + 3 * v3 * s3 + 2
-    assert math.isclose(j.eval((0.5, 2.0, -1.0)), 0.25 - 6.0 + 2.0)
+    assert math.isclose(horner(j.c, (0.5, 2.0, -1.0)), 0.25 - 6.0 + 2.0)
     js = j.subs(2, -1.0)
     assert js.nvars == 2
-    assert math.isclose(js.eval((0.5, 2.0)), 0.25 - 6.0 + 2.0)
+    assert math.isclose(horner(js.c, (0.5, 2.0)), 0.25 - 6.0 + 2.0)
+    with pytest.raises(UsageError, match="use horner"):
+        Jet.variable(0, 1, 4).subs(0, 1.0)

@@ -226,8 +226,6 @@ def test_normalize_rescales_parameter():
     # f33 = s + u^2 after the reparametrization s-hat = 2 s
     assert abs(nf.f33.c[0, 1] - 1.0) <= 1e-10
     assert abs(nf.f33.c[2, 0] - 1.0) <= 1e-10
-    step_names = [name for name, _ in nf.source_steps]
-    assert step_names[-1] == "reparametrize_s"
 
 
 def test_normalize_genericity_error():
