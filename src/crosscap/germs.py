@@ -4,7 +4,8 @@ admissibility tests that the normal-form reduction relies on.
 A germ is a triple of expressions in (u, v); a deformation additionally
 uses the parameter s and must fix the origin along the parameter axis.
 Jets of a germ are computed by evaluating the expression tree in jet
-arithmetic, so every Taylor coefficient comes from the exact chain rule.
+arithmetic, so every Taylor coefficient comes from the exact chain rule;
+a subtree shared by identity is expanded once per ``jet_at`` call.
 ``PointDerivatives`` holds the first and second derivatives at one point,
 or at each of N points along a leading batch axis, and is the only place
 they are read out of jets.  Values, jets and derivatives at an (N, nvars)
@@ -227,12 +228,12 @@ class _Parser:
                 f"power exponent must be an integer literal "
                 f"(line {tok.line}, col {tok.col})"
             )
-        return sign * int(tok.text)
+        return sign * _int_literal(tok.text, tok)
 
     def _atom(self):
         tok = self._next()
         if tok.kind == "rational":
-            p, q = (int(part) for part in tok.text.split("/"))
+            p, q = (_int_literal(part, tok) for part in tok.text.split("/"))
             if q == 0:
                 raise UsageError(f"zero denominator at line {tok.line}, col {tok.col}")
             return Num(Fraction(p, q))
@@ -256,6 +257,15 @@ class _Parser:
         raise UsageError(
             f"unexpected token {tok.text!r} at line {tok.line}, col {tok.col}"
         )
+
+
+def _int_literal(text, tok):
+    try:
+        return int(text)
+    except ValueError:  # Python refuses more than sys.get_int_max_str_digits()
+        raise UsageError(
+            f"integer literal too long at line {tok.line}, col {tok.col}"
+        ) from None
 
 
 def parse_expr(text) -> Expr:
@@ -364,28 +374,39 @@ def _float_pow(base, exponent):
     return np.array([_float_pow(b, exponent) for b in base.tolist()])
 
 
-def eval_jet(node, env) -> Jet:
-    """Evaluate the tree in jet arithmetic (exact chain rule)."""
-    some = next(iter(env.values()))
+def eval_jet(node, env, memo) -> Jet:
+    """Evaluate the tree in jet arithmetic (exact chain rule).
+
+    ``memo``, a fresh dict per evaluation, maps id(node) to the node's jet,
+    so a subtree shared by identity (``substitute`` builds such trees) is
+    expanded once however often it occurs.  Jets are never changed in
+    place, so a hit is the jet a recomputation would give.
+    """
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Num):
-        return Jet.constant(float(node.value), some.nvars, some.order)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Add):
-        return eval_jet(node.left, env) + eval_jet(node.right, env)
-    if isinstance(node, Sub):
-        return eval_jet(node.left, env) - eval_jet(node.right, env)
-    if isinstance(node, Mul):
-        return eval_jet(node.left, env) * eval_jet(node.right, env)
-    if isinstance(node, Div):
-        return eval_jet(node.left, env) * jet_recip(eval_jet(node.right, env))
-    if isinstance(node, Neg):
-        return -eval_jet(node.arg, env)
-    if isinstance(node, Pow):
-        return _jet_pow(eval_jet(node.base, env), node.exponent)
-    if isinstance(node, Sqrt):
-        return jet_sqrt(eval_jet(node.arg, env))
-    raise UsageError(f"cannot evaluate node {node!r}")
+        some = next(iter(env.values()))
+        jet = Jet.constant(float(node.value), some.nvars, some.order)
+    elif isinstance(node, Var):
+        jet = env[node.name]
+    elif isinstance(node, Add):
+        jet = eval_jet(node.left, env, memo) + eval_jet(node.right, env, memo)
+    elif isinstance(node, Sub):
+        jet = eval_jet(node.left, env, memo) - eval_jet(node.right, env, memo)
+    elif isinstance(node, Mul):
+        jet = eval_jet(node.left, env, memo) * eval_jet(node.right, env, memo)
+    elif isinstance(node, Div):
+        jet = eval_jet(node.left, env, memo) * jet_recip(eval_jet(node.right, env, memo))
+    elif isinstance(node, Neg):
+        jet = -eval_jet(node.arg, env, memo)
+    elif isinstance(node, Pow):
+        jet = _jet_pow(eval_jet(node.base, env, memo), node.exponent)
+    elif isinstance(node, Sqrt):
+        jet = jet_sqrt(eval_jet(node.arg, env, memo))
+    else:
+        raise UsageError(f"cannot evaluate node {node!r}")
+    memo[id(node)] = jet
+    return jet
 
 
 def _jet_pow(base, exponent):
@@ -505,7 +526,8 @@ class MapGerm:
             name: Jet.constant(x, nv, order) + Jet.variable(i, nv, order)
             for i, (name, x) in enumerate(zip(_VARS, coords))
         }
-        jets = tuple(eval_jet(e, env) for e in self.components)
+        memo = {}  # shared by the components: apply_equivalence shares subtrees
+        jets = tuple(eval_jet(e, env, memo) for e in self.components)
         if batch:  # a component free of the variables is one jet for all rows
             cube = (order + 1,) * nv
             jets = tuple(

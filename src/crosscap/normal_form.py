@@ -481,7 +481,7 @@ def apply_equivalence(f: MapGerm, diffeo: DiffeoSpec, rotation) -> MapGerm:
 def _validate_diffeo(diffeo):
     order = 2
     env = {name: Jet.variable(i, 3, order) for i, name in enumerate(("u", "v", "s"))}
-    jets = [eval_jet(c, env) for c in diffeo.components()]
+    jets = [eval_jet(c, env, {}) for c in diffeo.components()]
     origin = max(abs(j.c[0, 0, 0]) for j in jets)
     if origin > 1e-12:
         raise UsageError("diffeo must fix the origin")

@@ -164,6 +164,9 @@ def test_non_finite_parameter_is_a_quiet_domain_error(capfd, argv):
         ["analyze", "--germ", "u; v^2; " + "-" * 5000 + "u"],
         ["analyze", "--germ", "u; v^2; " + "sqrt(" * 300 + "1 + u" + ")" * 300],
         ["analyze", "--germ", "u; v^2; " + " + ".join(["u"] * 2000)],
+        # integer literals longer than Python's int() accepts
+        ["normal-form", "--germ", "u; v^2; v*u^1" + "0" * 5000 + " + s*v"],
+        ["normal-form", "--germ", "u; v^2; " + "1" * 5000 + "/3*v^3 + s*v"],
     ],
 )
 def test_argument_errors_are_json_usage_errors(capsys, argv):

@@ -6,8 +6,14 @@ from crosscap.germs import (
     MAX_DEPTH,
     MAX_NESTING,
     MODEL_CROSS_CAP,
+    MODEL_S1_MINUS,
     MODEL_S1_PLUS,
+    Add,
     MapGerm,
+    Mul,
+    Num,
+    Sqrt,
+    Sub,
     Var,
     admissibility_check,
     null_vector,
@@ -17,6 +23,7 @@ from crosscap.germs import (
     substitute,
 )
 from crosscap.jets import Jet, jet_sqrt
+from crosscap.normal_form import apply_equivalence, random_diffeo, random_rotation
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -146,6 +153,81 @@ def test_jet_at_sqrt_matches_jet_sqrt():
     jx = f.jet_at((0.0, 0.0), 6)[0]
     expect = jet_sqrt(1 + Jet.variable(0, 2, 6))
     assert np.max(np.abs(jx.c - expect.c)) <= 1e-12
+
+
+def _equivalences():
+    """Seeded ``apply_equivalence`` germs of both models: their trees put
+    one diffeo subtree object at every occurrence of u, v and s."""
+    for seed in (1, 7):
+        rng = np.random.default_rng(seed)
+        for model in (MODEL_S1_PLUS, MODEL_S1_MINUS):
+            f = MapGerm.parse(model)
+            for _ in range(2):
+                yield apply_equivalence(f, random_diffeo(rng), random_rotation(rng))
+
+
+def _unshared(g):
+    """The same germ with no shared interior node: ``substitute`` rebuilds
+    every interior node at each visit."""
+    return MapGerm(*(substitute(e, {}) for e in g.components), kind=g.kind)
+
+
+def _assert_same_jets(got, expect):
+    assert len(got) == len(expect) == 3
+    for a, b in zip(got, expect):
+        assert a.c.shape == b.c.shape
+        assert np.array_equal(a.c, b.c)
+
+
+def test_jet_at_shared_subtrees_match_unshared_walk_bit_for_bit():
+    points = np.array([[0.1, -0.2, 0.05], [-0.3, 0.1, -0.1], [0.2, 0.25, 0.15]])
+    for g in _equivalences():
+        h = _unshared(g)
+        assert h.components == g.components
+        _assert_same_jets(g.jet_at((0.0, 0.0, 0.0), 8), h.jet_at((0.0, 0.0, 0.0), 8))
+        _assert_same_jets(g.jet_at(points, 2), h.jet_at(points, 2))
+        # successive calls at different points: no jet survives a call
+        first = g.jet_at(points[0], 3)
+        second = g.jet_at(points[1], 3)
+        _assert_same_jets(first, h.jet_at(points[0], 3))
+        _assert_same_jets(second, h.jet_at(points[1], 3))
+
+
+def test_jet_at_shared_subtree_error_matches_unshared_walk():
+    root = Sqrt(Sub(Var("u"), Num(1.0)))  # sqrt of -1 at the origin
+    g = MapGerm(Var("u"), Add(Var("v"), root), Mul(root, root), kind="germ")
+    messages = []
+    for germ in (g, _unshared(g)):
+        with pytest.raises(DomainError) as err:
+            germ.jet_at((0.0, 0.0), 4)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "square root" in messages[0]
+
+
+def test_jet_at_expands_shared_subtrees_once(monkeypatch):
+    """Work, not time: the products made while expanding an equivalence's
+    shared tree stay a small fraction of those of its unshared copy (121
+    against 921 per germ at order 8).  Fails if ``substitute`` or
+    ``apply_equivalence`` stop sharing subtrees, or ``jet_at`` re-expands
+    them."""
+    calls = []
+    original = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+
+    def products(germ):
+        calls.clear()
+        germ.jet_at((0.0, 0.0, 0.0), 8)
+        return len(calls)
+
+    for g in _equivalences():
+        shared, unshared = products(g), products(_unshared(g))
+        assert 4 * shared <= unshared, (shared, unshared)
 
 
 def test_evaluate_domain_errors():
