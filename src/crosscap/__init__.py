@@ -11,7 +11,6 @@ from .deformation import (
     asymptotic_limits,
     gauss_sign_probe,
     locus_expansion,
-    richardson,
     singular_locus,
     trace,
     trajectory_geometry,

@@ -278,7 +278,7 @@ def cmd_trace(args):
     report = _meta(args)
     report["grid"] = grid
     report["rows"] = len(table.rows)
-    if len(table.rows) >= 4:
+    if table.rows:
         rep = da.asymptotic_limits(table, cs)
         report["asymptotics"] = {
             "limits": rep.limits,
@@ -291,7 +291,7 @@ def cmd_trace(args):
         report["all_conics"] = sorted({r.conic_kind for r in table.rows})
     else:
         report["asymptotics"] = None
-        report["note"] = "fewer than 4 rows; no extrapolation"
+        report["note"] = "no cross-cap pair on the grid; no asymptotics"
     return report, {"trace.csv": trace_csv(table), "trace_asymptotics.json": None}
 
 

@@ -1,12 +1,13 @@
 """Parameter-sweep analytics over a deformation: locate the pair of
 cross-caps for negative parameter values, expand their locus in the
-square-root parameter, trace the blow-up of the second-order invariants,
-probe the Gaussian-curvature sign law, and extract the Frenet data of the
-singular-point trajectory.
+square-root parameter, trace the second-order invariants along a grid and
+read their blow-up limits off series, probe the Gaussian-curvature sign
+law, and extract the Frenet data of the singular-point trajectory.
 
-Throughout, s = -st^2 with st >= 0, and u(st) denotes the positive branch
-of the singular locus of the reduced germ.  Pointwise data at a source
-point (u, v, s) of the reduced germ comes from ``NormalFormData.derivatives``.
+Throughout, s = -st^2 with st >= 0, and u(st) = ``NormalFormData.branch``
+is the positive branch of the singular locus of the reduced germ.  Data at
+a source point (u, v, s) comes from ``NormalFormData.derivatives``, data
+along (u(st), 0, -st^2) as jets in st from ``_on_branch``.
 
 A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
 u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
@@ -32,7 +33,7 @@ from .invariants import (
     frame_at,
     invariants_from_frame,
 )
-from .jets import Jet, branch_solve, jet_recip, jet_sqrt
+from .jets import Jet, jet_recip, jet_sqrt
 from .normal_form import (
     CLASS_TOL,
     CoefficientSet,
@@ -100,11 +101,14 @@ def _pair_alpha1(nf: NormalFormData, need: Optional[str] = None) -> Optional[flo
     return None
 
 
-def _branch_series(nf: NormalFormData) -> np.ndarray:
-    """Coefficients alpha_1, alpha_2, ... of the positive branch u(st), from
-    f33(u, -t^2) = 0 as a jet in (u, t); the caller has decided c2(0) > 0."""
-    t2 = Jet.variable(1, 2, nf.order)
-    return branch_solve(nf.f33.substitute(1, -(t2 * t2)))
+def _on_branch(nf: NormalFormData, tables) -> list:
+    """(u, s) coefficient tables, such as v = 0 slices, along the positive
+    branch u = u(st), s = -st^2 as jets in st; the caller decided c2(0) > 0."""
+    order = nf.order
+    t = Jet.variable(1, 2, order)
+    s_t, u_t = -(t * t), Jet(1, order, np.r_[0.0, nf.branch, 0.0]).embed(2, (1,))
+    on = [Jet(2, order, c, _trusted=True).substitute(1, s_t) for c in tables]
+    return [Jet(1, order, j.substitute(0, u_t).c[0], _trusted=True) for j in on]
 
 
 def _locus_roots(nf: NormalFormData, s: float):
@@ -166,7 +170,7 @@ def locus_expansion(cs: CoefficientSet, nf: NormalFormData) -> LocusExpansion:
     c20 = cs.c20
     alpha2 = (cs.c1_0 * c20**2 - cs.c3_0) / (2.0 * c20**4)
 
-    alphas = _branch_series(nf)
+    alphas = nf.branch
 
     def closed3(c3_sq_sign, c2s_factor):
         return (
@@ -204,7 +208,10 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class TraceTable:
+    """Trace rows and the normal form they were traced on."""
+
     rows: tuple
+    nf: NormalFormData
 
     COLUMNS = tuple(f.name for f in fields(TraceRow))
 
@@ -214,7 +221,7 @@ class TraceTable:
 
 @float_contract
 def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int = 8):
-    """Invariants of both cross-caps along a geometric grid in st.
+    """Invariants of both cross-caps along a grid in st.
 
     Returns (TraceTable, NormalFormData, CoefficientSet); rows keep the
     positive-branch invariants and focal conic, built from that record's
@@ -226,7 +233,7 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     cs = scalar_coefficients(nf)
     alpha1 = _pair_alpha1(nf)
     if alpha1 is None:
-        return TraceTable(()), nf, cs
+        return TraceTable((), nf), nf, cs
     rows = []
     for st in s_tilde_grid:
         records = singular_locus(nf, -st * st)
@@ -245,41 +252,17 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
             TraceRow(st, plus.point[0], minus.point[0], inv.a20, inv.a11, inv.a02,
                      inv.ku_ext, inv.ka, kind)
         )
-    return TraceTable(tuple(rows)), nf, cs
+    return TraceTable(tuple(rows), nf), nf, cs
 
 
-# -- Richardson extrapolation ------------------------------------------------------------
-
-
-RICHARDSON_TOL = 1e-3
-
-
-@float_contract
-def richardson(values, ratio):
-    """Limit of a sequence sampled on a geometric grid (largest step first);
-    eliminates one power of the step per column.
-
-    Returns (limit, error), where error is the last tableau difference
-    |T_n,0 - T_n-1,0|, what the final column changed in the limit estimate
-    (Sidi, Practical Extrapolation Methods, 2003); it is inf for a single
-    value.
-    """
-    T = [float(v) for v in values]
-    error = math.inf
-    m = 1
-    while len(T) > 1:
-        q = ratio**m
-        prev = T[0]
-        T = [(q * T[i + 1] - T[i]) / (q - 1.0) for i in range(len(T) - 1)]
-        error = abs(T[0] - prev)
-        m += 1
-    return T[0], error
+# -- blow-up limits ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Extrapolated limits of st^2 * (a20, a11, a02) with the closed-form
-    targets, plus the finite limits of the two curvatures."""
+    """Limits as st -> 0 of st^2 * (a20, a11, a02), ku_ext and ka at the
+    positive-branch cross-cap, read off the constant terms of their series
+    in st, with the closed-form targets of st^2 * (a20, a11, a02)."""
 
     limits: dict
     theory: dict
@@ -291,41 +274,50 @@ class AsymptoticReport:
 
 @float_contract
 def asymptotic_limits(table: TraceTable, cs: CoefficientSet) -> AsymptoticReport:
-    st = table.column("s_tilde")
-    if len(st) < 4:
-        raise UsageError("asymptotic extrapolation needs at least 4 grid points")
-    ratios = st[:-1] / st[1:]
-    if np.max(np.abs(ratios - ratios[0])) > 1e-9 * ratios[0]:
-        raise UsageError("asymptotic extrapolation needs a geometric grid")
-    ratio = float(ratios[0])
+    """Blow-up limits on ``table.nf``, read off series; the rows are not read.
+    The formulas of ``SecondOrderFrame.scalars`` and ``invariants_from_frame``
+    act on jets in st along the branch, where Ker df = <d_v> and, as
+    y = y(u, 0, s) + v^2, f_u = (1, yu, zu), f_uu = (0, yuu, zuu),
+    f_uv = (0, 0, zuv), f_vv = (0, 2, zvv).  C = O(st) divides by st.
+    c2(0) < 0 is a DegeneracyError."""
+    nf = table.nf
+    _pair_alpha1(nf, "asymptotic limits")
+    # v = 0 slices of (d_u, d_v, d_uu, d_uv, d_vv) of y and z
+    part = nf._partials[1:, :, :, 0, :]
+    yu, yuu, zu, zuu, zuv, zvv = _on_branch(nf, part[[0, 0, 1, 1, 1, 1], [0, 2, 0, 2, 3, 4]])
+    A = 1.0 + yu * yu + zu * zu
+    cross = yu * zvv - 2.0 * zu  # f_u x f_vv = (cross, -zvv, 2)
+    B = cross * cross + zvv * zvv + 4.0
+    C = -2.0 * zuv
+    d_uuv = yuu * zvv - 2.0 * zuu
+    d_uvu = -(zuv * yuu)
+    D = d_uuv * d_uuv + 4.0 * C * d_uvu
+    gram = A * (zvv * zuv) - (zu * zuv) * (2.0 * yu + zvv * zu)
+    E = 2.0 * C * gram - B * d_uuv
+    root_A, root_B = jet_sqrt(A), jet_sqrt(B)
+    C_st = C.divide_monomial((1,))
+    st2_over_C2 = jet_recip(C_st * C_st)
+    scaled = {  # st^2 * (a20, a11, a02)
+        "a20": 0.25 * jet_recip(A * root_A) * root_B * st2_over_C2 * D,
+        "a11": 0.5 * jet_recip(root_A) * st2_over_C2 * E,
+        "a02": root_A * B * root_B * st2_over_C2,
+    }
+    limits = {name: float(jet.c[0]) for name, jet in scaled.items()}
+    # st^4 (a20 a02 - a11^2) vanishes to second order, so ka stays finite
+    N = scaled["a20"] * scaled["a02"] - scaled["a11"] * scaled["a11"]
+    ka_limit = abs(float(N.divide_monomial((2,)).c[0]) / limits["a02"])
     c2 = cs.c20**2
     theory = {
         "a20": cs.f31_0**2 / (2.0 * c2),
         "a11": cs.f31_0 / (2.0 * c2),
         "a02": 1.0 / (2.0 * c2),
     }
-    limits = {}
-    for name in ("a20", "a11", "a02"):
-        limit, error = richardson(st**2 * table.column(name), ratio)
-        if not error <= RICHARDSON_TOL * (1.0 + abs(limit)):
-            raise DomainError(
-                f"Richardson extrapolation of st^2 * {name} has not settled: "
-                f"limit {limit:.6e}, error estimate {error:.3e}"
-            )
-        limits[name] = limit
     residuals = {name: limits[name] - theory[name] for name in theory}
     bounded_a20 = abs(cs.f31_0) <= CLASS_TOL
-    bounded_a11 = bounded_a20 and abs(
-        3.0 * cs.f31_u - cs.d1 * cs.f21_0
-    ) <= CLASS_TOL
-    return AsymptoticReport(
-        limits=limits,
-        theory=theory,
-        residuals=residuals,
-        bounded_flags={"a20": bounded_a20, "a11": bounded_a11, "a02": False},
-        ku_ext_limit=richardson(table.column("ku_ext"), ratio)[0],
-        ka_limit=richardson(table.column("ka"), ratio)[0],
-    )
+    bounded_a11 = bounded_a20 and abs(3.0 * cs.f31_u - cs.d1 * cs.f21_0) <= CLASS_TOL
+    bounded = {"a20": bounded_a20, "a11": bounded_a11, "a02": False}
+    ku_ext_limit = 2.0 * abs(limits["a11"] / limits["a02"])
+    return AsymptoticReport(limits, theory, residuals, bounded, ku_ext_limit, ka_limit)
 
 
 # -- Gaussian curvature sign probe ------------------------------------------------------
@@ -361,12 +353,15 @@ def gauss_sign_probe(nf: NormalFormData, s_tilde: float) -> GaussProbeReport:
     whose parameter must be normalized: the default theta grid times the
     default k grid, a fraction of the theta-dependent radius R.  A
     bisection then locates the largest st in (0, 1/2] for which every
-    sample agrees.  An st with u(st) = 0 (st = 0, or st^2 below the float
-    range) puts every sample at the S1 point and is a DomainError; so are
-    an st without a locus root in |u| <= 1 and c2(0) <= 0.
+    sample agrees.  An st < 0 (u(st) is the positive branch) is a
+    DomainError; so are an st with u(st) = 0 (st = 0, or st^2 below the
+    float range: every sample at the S1 point), an st without a locus root
+    in |u| <= 1, and c2(0) <= 0.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
+    if s_tilde < 0.0:
+        raise DomainError(f"the sign probe needs st >= 0, got st = {s_tilde:g}")
     cs = scalar_coefficients(nf)
     if abs(cs.f31_0) <= CLASS_TOL:
         raise DomainError("the sign law needs f31(0) != 0")
@@ -472,13 +467,8 @@ def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
     cs = scalar_coefficients(nf)
     _pair_alpha1(nf, "trajectory geometry")
 
-    # each component along u = u(st), v = 0, s = -st^2, as a jet in st (variable 2)
-    st = Jet.variable(2, 3, order)
-    u_st = Jet(1, order, np.concatenate([[0.0], _branch_series(nf), [0.0]])).embed(3, (2,))
-    gamma = []
-    for comp in nf.components():
-        curve = comp.restrict(1).substitute(2, -(st * st)).substitute(0, u_st)
-        gamma.append(Jet(1, order, curve.c[0, 0]))
+    # each component along u = u(st), v = 0, s = -st^2, as a jet in st
+    gamma = _on_branch(nf, [comp.c[:, 0, :] for comp in nf.components()])
 
     g1 = np.array([g.c[1] for g in gamma])
     g2 = np.array([2.0 * g.c[2] for g in gamma])

@@ -71,7 +71,7 @@ def _product_table(shape, order):
     return p, q, k
 
 
-@lru_cache(maxsize=2)  # a mesh's batch and the probe's; ~0.4 kB per row at order 2
+@lru_cache(maxsize=2)  # only mesh --k-sign batches (jet_at at N points); ~0.4 kB/row at order 2
 def _batched_table(shape, order, n):
     """``_product_table`` for n stacked cubes: row r's flat cells are
     offset by r * size, so the product stays one ``np.bincount`` and every

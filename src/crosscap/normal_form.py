@@ -42,7 +42,7 @@ from .germs import (
     substitute,
     uses_variable,
 )
-from .jets import Jet, horner, implicit_solve, invert_coordinate, jet_sqrt
+from .jets import Jet, branch_solve, horner, implicit_solve, invert_coordinate, jet_sqrt
 
 SPLIT_TOL = 1e-10  # remainders off the normal-form shape above this signal bad input
 CLASS_TOL = 1e-9  # classification / degeneracy threshold on the discriminant
@@ -97,6 +97,15 @@ class NormalFormData:
                 [d_u.c, d_v.c, d_u.partial(0).c, d_u.partial(1).c, d_v.partial(1).c]
             )
         return np.array(table)
+
+    @cached_property
+    def branch(self) -> np.ndarray:
+        """alpha_1, alpha_2, ... of the positive branch u(st) of
+        f33(u, -st^2) = 0, built on first use; callers decide c2(0) > 0."""
+        t = Jet.variable(1, 2, self.order)
+        alphas = branch_solve(self.f33.substitute(1, -(t * t)))
+        alphas.setflags(write=False)
+        return alphas
 
     @float_contract
     def derivatives(self, point) -> PointDerivatives:

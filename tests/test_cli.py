@@ -92,9 +92,8 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         ("mesh", "--germ", MODEL_S1_PLUS, "--s", "inf", "--nu", "2", "--nv", "2"),
         ("mesh", "--germ", MODEL_S1_PLUS, "--s=-inf", "--nu", "2", "--nv", "2"),
         ("mesh", "--germ", "u; v; u^9999", "--u-range=-2:2", "--nu", "2", "--nv", "2"),
-        # a grid ratio this close to 1 leaves the Richardson limits unsettled
-        ("trace", "--germ", "u; v^2; u^2 + v^3 + u^2*v + s*v",
-         "--s-tilde-grid", "0.1:1.0000001:6"),
+        # u(st) is the positive branch: st < 0 has no sample ring
+        ("gauss-probe", "--germ", GP_GERM, "--s-tilde=-0.05"),
         # the vertices are finite; the K-signs hit the cone's apex
         ("mesh", "--germ", "u; v; sqrt(u^2 + v^2)", "--nu", "3", "--nv", "3",
          "--k-sign"),
@@ -274,13 +273,25 @@ def test_trace_down_to_small_st_keeps_the_hyperbola(capsys):
 
 def test_trace_single_root_st_gets_no_row(capsys, tmp_path):
     """Only the two smallest st of the default grid have two distinct locus
-    roots; the larger ones, a single root, give no row (no extrapolation)."""
+    roots; the larger ones, a single root, give no row.  The limits come
+    from the branch series, not from the rows."""
     code, out = run(capsys, "trace", "--germ", "u; v^2; v*(s + 0.05*u^2 + u^3)",
                     "--out", str(tmp_path))
     assert code == 0
     rep = last_json(out)
     assert rep["rows"] == 2
-    assert rep["note"] == "fewer than 4 rows; no extrapolation"
+    asym = rep["asymptotics"]
+    for name, limit in asym["limits"].items():
+        assert limit == pytest.approx(asym["theory"][name], rel=1e-13, abs=1e-13)
+
+
+def test_trace_grid_ratio_next_to_one_gives_the_limits(capsys):
+    code, out = run(capsys, "trace", "--germ", TRACE_GERM,
+                    "--s-tilde-grid", "0.1:1.0000001:6")
+    assert code == 0
+    asym = last_json(out)["asymptotics"]
+    for name, limit in asym["limits"].items():
+        assert limit == pytest.approx(asym["theory"][name], rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from crosscap.deformation import (
     default_theta_grid,
     gauss_sign_probe,
     locus_expansion,
-    richardson,
     singular_locus,
     trace,
     trajectory_geometry,
@@ -210,14 +209,55 @@ def test_c2_negative_has_no_pair_from_the_s1_point():
         gauss_sign_probe(normalize_parameter(reduce(g)), 0.05)
 
 
-def test_asymptotics_grid_validation(s1_plus):
-    table, _, cs = trace(s1_plus, GRID)
-    with pytest.raises(UsageError):
-        asymptotic_limits(
-            trace(s1_plus, [0.1, 0.05, 0.03, 0.01])[0], cs
+def test_asymptotics_do_not_depend_on_the_grid(rng):
+    """The limits are read off the branch series, so any grid, geometric
+    or not, short or with a ratio next to 1, gives the same numbers."""
+    grids = (
+        GRID,
+        [0.1, 0.05, 0.03, 0.01],
+        GRID[:3],
+        [0.1 * 1.0000001**-j for j in range(6)],
+    )
+    for f in (MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v"), seeded_germ(rng)):
+        numbers = set()
+        for grid in grids:
+            table, _, cs = trace(f, grid)
+            rep = asymptotic_limits(table, cs)
+            numbers.add((tuple(rep.limits.items()), rep.ku_ext_limit, rep.ka_limit))
+        assert len(numbers) == 1
+
+
+def test_asymptotic_limits_match_closed_forms(rng):
+    """st^2 (a20, a11, a02) -> (f31(0)^2, f31(0), 1) / (2 c2(0)),
+    ku_ext -> 2|f31(0)| and ka -> 2|f21(0)|, to rounding."""
+    germs = [seeded_germ(rng) for _ in range(40)] + [
+        MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v"),
+        MapGerm.parse("u; v^2 + u^2; u^2 + v^3 + u^2*v + s*v"),
+    ]
+    for f in germs:
+        table, _, cs = trace(f, GRID)
+        rep = asymptotic_limits(table, cs)
+        got = dict(rep.limits, ku_ext=rep.ku_ext_limit, ka=rep.ka_limit)
+        want = dict(rep.theory, ku_ext=2.0 * abs(cs.f31_0), ka=2.0 * abs(cs.f21_0))
+        for name, target in want.items():
+            assert abs(got[name] - target) <= 1e-13 * max(1.0, abs(target)), name
+
+
+def test_asymptotic_limits_scale_with_the_germ():
+    """Multiplying the germ by lam scales the limits by lam^(-1/2, 1/2,
+    3/2), also where the grid keeps few rows (lam = 1e3) or none (1e5)."""
+    for lam in (1e-5, 1e-3, 1.0, 1e2, 1e3, 1e5):
+        g = MapGerm.parse(
+            f"{lam!r}*u; {lam!r}*v^2; {lam!r}*(u^2 + v^3 + u^2*v + s*v)"
         )
-    with pytest.raises(UsageError):
-        asymptotic_limits(trace(s1_plus, GRID[:3])[0], cs)
+        table, _, cs = trace(g, GRID)
+        rep = asymptotic_limits(table, cs)
+        want = (0.5 / lam**0.5, 0.5 * lam**0.5, 0.5 * lam**1.5)
+        for name, target in zip(("a20", "a11", "a02"), want):
+            assert abs(rep.limits[name] - target) <= 1e-13 * target, (lam, name)
+        ku_want = 2.0 * abs(cs.f31_0)
+        assert abs(rep.ku_ext_limit - ku_want) <= 1e-13 * max(1.0, ku_want), lam
+    assert table.rows == ()  # the last germ, lam = 1e5, leaves no row
 
 
 def test_extrapolation_stability(s1_plus):
@@ -229,22 +269,6 @@ def test_extrapolation_stability(s1_plus):
     r2 = asymptotic_limits(t2, cs)
     for name in ("a20", "a11", "a02"):
         assert abs(r1.limits[name] - r2.limits[name]) <= 1e-6
-
-
-def test_unsettled_extrapolation_is_domain_error():
-    # ratio 1 + 1e-7: the tableau divides by q - 1 ~ 1e-7 and amplifies the
-    # rounding of st^2 * a20 to ~1e18, so the error estimate is ~ the limit
-    f = MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v")
-    table, _, cs = trace(f, [0.1 * 1.0000001**-j for j in range(6)])
-    with pytest.raises(DomainError, match="not settled"):
-        asymptotic_limits(table, cs)
-
-
-def test_richardson_on_known_series():
-    # q(h) = 3 + 2 h + h^2 sampled geometrically converges to 3
-    hs = [0.2 * 2.0**-j for j in range(6)]
-    vals = [3 + 2 * h + h * h for h in hs]
-    assert abs(richardson(vals, 2.0)[0] - 3.0) <= 1e-12
 
 
 # -- dichotomy flags ----------------------------------------------------------------
