@@ -427,8 +427,9 @@ def branch_solve(F: Jet) -> np.ndarray:
                 "branch_solve: F must have the shape -t^2 + (c u)^2 + higher "
                 f"(coefficient {idx} is {F.c[idx]:.3e})"
             )
-    cuu, ctt = F.c[2, 0], F.c[0, 2]
-    if cuu <= 1e-10 * scale or ctt >= -1e-10 * scale:
+    cuu, ctt = F.c[2, 0], F.c[0, 2]  # each against the largest |F| on its own axis
+    on_u, on_t = (1.0 + np.max(np.abs(axis)) for axis in (F.c[:, 0], F.c[0, :]))
+    if cuu <= 1e-10 * on_u or ctt >= -1e-10 * on_t:
         raise DegeneracyError(
             "branch_solve: leading quadratic is degenerate "
             f"([u^2] = {cuu:.3e}, [t^2] = {ctt:.3e})"

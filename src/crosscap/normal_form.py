@@ -9,10 +9,10 @@ and a single rotation of the target.  The surviving coefficients are
 geometric data of the deformation; everything downstream (singular locus,
 invariant asymptotics, focal conics) reads them off this form.
 
-Pipeline: align the kernel of df_0 with the v-axis, rotate the image line
-onto the x-axis, make the first component a coordinate, straighten the
-singular set of the (x, y) part by an implicit solve, rescale v so the
-quadratic part of the second component becomes exactly v^2, then check the
+Pipeline: rotate the image line of df_0 onto the x-axis, make the first
+component the coordinate u (which puts the kernel of df_0 on the v-axis),
+straighten the singular set of the (x, y) part by an implicit solve, rescale
+v so the quadratic part of the second component becomes exactly v^2, check the
 two reduced components against the normal-form shape and store them in
 exactly that shape.  The six series are coefficient blocks of the stored
 components, read by slicing.
@@ -230,23 +230,18 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
 
     u3, v3, _ = Jet.coordinates(3, order)
 
-    # source linear change: kernel of df_0 becomes the v-direction.  With rows
-    # (a, b), (c, d) of lin, j(a u + b v, c u + d v) is j(u, (c u + det v) / a)
-    # with a u + b v then put for u; an exact u <-> v swap of the cube and the
-    # rows makes the pivot |a| = max(|a|, |b|) >= 1/sqrt(2)
-    n = PointDerivatives.from_jets(jets).null_vector()
-    t = np.array([n[1], -n[0]])
-    lin = np.column_stack([t, n])
-    (a, b), (c, d) = lin.tolist()
-    if abs(a) < abs(b):
-        jets = [Jet(3, order, j.c.swapaxes(0, 1), _trusted=True) for j in jets]
-        (a, b), (c, d) = (c, d), (a, b)
-    inner_v = (c / a) * u3 + ((a * d - b * c) / a) * v3
-    jets = [j.substitute(1, inner_v).substitute(0, a * u3 + b * v3) for j in jets]
-
-    # rotate the image line onto the x-axis
-    w = PointDerivatives.from_jets(jets).grad[:, 0]
-    T1 = rotation_to_e1(w)
+    # the representative rule (the normal form is unique up to a half-turn of
+    # source and target): the image x-axis points along df_0 e_u.  If |f_u| <
+    # |f_v|, put (u, v) = (-v, u) when f_u . f_v >= 0, else (v, -u): a quarter
+    # turn, exact on the cube, that keeps f_u's direction and the source
+    # orientation.  Inverting x for u then leaves Ker df_0 = d_v
+    g_u, g_v = PointDerivatives.from_jets(jets).grad.T
+    if np.linalg.norm(g_u) < np.linalg.norm(g_v):
+        flip = (-1.0) ** np.arange(order + 1)
+        flip = flip[:, None, None] if g_u @ g_v >= 0.0 else flip[:, None]
+        jets = [Jet(3, order, (j.c * flip).swapaxes(0, 1), _trusted=True) for j in jets]
+        g_u = PointDerivatives.from_jets(jets).grad[:, 0]
+    T1 = rotation_to_e1(g_u)
     jets = _apply_matrix(T1, jets)
 
     # make the first component the coordinate u

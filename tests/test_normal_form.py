@@ -83,17 +83,69 @@ def test_prerotated_and_sheared_input_reduces_back(s1_plus):
     assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
 
 
-@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+README_TRACE_GERM = "u; v^2; u^2 + v^3 + u^2*v + s*v"
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3,
+     -math.pi / 2 + 0.01, -math.pi / 3, -math.pi / 12, math.pi / 2 - 0.01],
+)
 def test_source_rotation_reduces_back_through_either_pivot(s1_plus, theta):
-    """A source rotation by theta moves the kernel of df to angle theta from
-    the v-axis; past pi/4 the linear step swaps u and v before substituting."""
+    """A source rotation by theta gives df_0 e_u = cos(theta) f_u and
+    df_0 e_v = -sin(theta) f_u.  Past |theta| = pi/4 the reduction
+    quarter-turns the source before inverting x for u: (u, v) = (-v, u) for
+    theta < 0, (v, -u) for theta > 0.  Within |theta| < pi/2, df_0 e_u keeps
+    the direction of f_u, so the asymmetric trace germ keeps its
+    representative; the symmetric model has only one."""
     c, s = math.cos(theta), math.sin(theta)
     rotate = DiffeoSpec(
         parse_expr(f"{c!r}*u - {s!r}*v"), parse_expr(f"{s!r}*u + {c!r}*v"), parse_expr("s")
     )
-    _, cs_g = pipeline(apply_equivalence(s1_plus, rotate, np.eye(3)))
-    _, cs_f = pipeline(s1_plus)
-    assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
+    germs = [s1_plus] + ([MapGerm.parse(README_TRACE_GERM)] if abs(theta) < math.pi / 2 else [])
+    for f in germs:
+        _, cs_g = pipeline(apply_equivalence(f, rotate, np.eye(3)))
+        _, cs_f = pipeline(f)
+        assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
+
+
+# the entries that a source half-turn (u, v) -> (-u, -v) composed with the
+# target half-turn diag(-1, 1, -1) negates: the two normal forms it relates
+# are both reduced, so the normal form is unique only up to this half-turn
+HALF_TURN_ODD = ("f21_u", "f31_0", "f24_00", "c1_0", "c3_0", "d3")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        README_TRACE_GERM,
+        "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s",
+        "u; -u^2 + v^2; u^2 + v^3 + v*s + u^2*v",
+        # every half-turn-odd entry nonzero
+        "u; v^2 + 0.3*u^2 + 0.2*u^3 + 0.4*u*s; 0.7*u^2 + 0.1*u^3"
+        " + v^2*(1.1*v + 0.2*u + 0.3*s) + v*(s + 0.3*u*s + 1.2*u^2 - 0.4*u^3)",
+    ],
+    ids=["trace", "gauss-probe", "focal", "generic"],
+)
+def test_asymmetric_germs_keep_their_representative(text):
+    """Criterion 02's recipe on germs whose two representatives differ: every
+    seeded equivalence reduces to the germ's own coefficients, because the
+    image x-axis points along df_0 e_u, which the seeded source changes
+    (u + a v + ..., v + b u + ...) leave along f_u.  The
+    half-turn maps the normal form to the other representative, which
+    differs from it in exactly the half-turn-odd entries."""
+    f = MapGerm.parse(text)
+    _, cs_f = pipeline(f)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = apply_equivalence(f, random_diffeo(rng), random_rotation(rng))
+        _, cs_g = pipeline(g)
+        assert np.max(np.abs(cs_g.as_vector() - cs_f.as_vector())) <= 1e-8
+
+    half_turn = DiffeoSpec(parse_expr("-u"), parse_expr("-v"), parse_expr("s"))
+    _, cs_h = pipeline(apply_equivalence(f, half_turn, np.diag([-1.0, 1.0, -1.0])))
+    sign = np.array([-1.0 if k in HALF_TURN_ODD else 1.0 for k in cs_f.as_dict()])
+    assert np.max(np.abs(cs_h.as_vector() - sign * cs_f.as_vector())) <= 1e-8
 
 
 def test_cross_cap_deformation_rejected():
