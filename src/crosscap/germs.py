@@ -586,7 +586,7 @@ def parse_germ_source(text):
 
 # -- pointwise derivatives -----------------------------------------------------------
 
-RANK_TOL = 1e-9  # singular value below RANK_TOL * (sigma_max + 1) counts as zero
+RANK_TOL = 1e-9  # singular value below RANK_TOL * sigma_max counts as zero
 
 
 @dataclass(frozen=True)
@@ -626,7 +626,7 @@ class PointDerivatives:
 
     def rank(self) -> int:
         sv = np.linalg.svd(self.grad, compute_uv=False)
-        return int(np.sum(sv > RANK_TOL * (sv[0] + 1.0)))
+        return int(np.sum(sv > RANK_TOL * sv[0]))
 
     def null_vector(self) -> np.ndarray:
         """Unit generator of Ker df at a rank-1 point; the first entry larger
@@ -716,7 +716,7 @@ def admissibility_from_jets(jets) -> AdmissibilityReport:
         w_hat = w / np.linalg.norm(w)
         ortho = h_nn - (h_nn @ w_hat) * w_hat
         size = float(np.linalg.norm(ortho))
-        ok_two_jet = size > 1e-9 * (np.linalg.norm(h_nn) + 1.0)
+        ok_two_jet = size > 1e-9 * np.linalg.norm(h_nn)
         detail = f"|pi(f_nn)| = {size:.3e}"
     clauses.append(Clause("quadratic_normal_part", ok_two_jet, detail))
 

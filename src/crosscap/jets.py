@@ -8,7 +8,7 @@ laws hold coefficientwise up to floating-point rounding.
 Coefficients live in a dense cube ``c[i, j, k]`` with one axis per
 variable (one, two or three); cells above total degree ``order`` stay
 zero.  The truncated product, the kernel under ``Jet.substitute`` and
-every Newton solve, is one numpy reduction over a cached table of the cell
+every series solve, is one numpy reduction over a cached table of the cell
 pairs whose degrees sum to at most ``order`` (the index-table form of
 truncated Taylor arithmetic, Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).
@@ -320,11 +320,35 @@ def horner(c, point):
     return c
 
 
-# -- reciprocal and square root ----------------------------------------------
+# -- series solves -------------------------------------------------------------
 
 
-def _newton_steps(order):
-    return max(3, math.ceil(math.log2(order)) + 1)
+def _series_solve(residual, W, slope):
+    """Solve residual(W) = 0 for a jet W by the fixed-slope iteration
+    W <- W - residual(W) / slope, run ``W.order`` times.
+
+    ``slope`` is the derivative of the residual in W at the base point: a
+    float, or one value per row of a batch.  The error factor of a step,
+    1 - residual'(W) / slope, vanishes at the base point, so each step raises
+    the order of contact of W with the solution by one.  A start that is
+    right at the base point (order of contact >= 1) is therefore exact to
+    the truncation order after ``order`` steps.
+    """
+    slope = np.reshape(slope, np.shape(slope) + (1,) * W.nvars)
+    for _ in range(W.order):
+        W = Jet(W.nvars, W.order, W.c - residual(W).c / slope, _trusted=True)
+    return W
+
+
+def _without_constant(F, message):
+    """F with its constant term set to exactly 0, so that substituting the
+    iterate keeps W(0) = 0; the term must vanish up to rounding."""
+    origin = (0,) * F.nvars
+    if abs(F.c[origin]) > 1e-12 * (1.0 + F.max_abs()):
+        raise DegeneracyError(message)
+    c = F.c.copy()
+    c[origin] = 0.0
+    return Jet(F.nvars, F.order, c, _trusted=True)
 
 
 def jet_recip(a: Jet) -> Jet:
@@ -333,15 +357,11 @@ def jet_recip(a: Jet) -> Jet:
     a0 = a.c[_origin(a.c, a.nvars)]
     if np.any(a0 == 0.0):
         raise DomainError("reciprocal of a jet with zero constant term")
-    x = Jet.constant(1.0 / a0, a.nvars, a.order)
-    for _ in range(_newton_steps(a.order)):
-        x = x * (2.0 - a * x)
-    return x
+    return _series_solve(lambda x: a * x - 1.0, Jet.constant(1.0 / a0, a.nvars, a.order), a0)
 
 
 def jet_sqrt(a: Jet) -> Jet:
-    """Square root with positive constant term (in every row of a batch),
-    via inverse-sqrt Newton."""
+    """Square root with positive constant term (in every row of a batch)."""
     a0 = a.c[_origin(a.c, a.nvars)]
     low = a0 <= 0.0
     if np.any(low):
@@ -349,27 +369,8 @@ def jet_sqrt(a: Jet) -> Jet:
             "jet square root needs a positive constant term, got "
             f"{np.extract(low, a0)[0]:.3e}"
         )
-    y = Jet.constant(1.0 / np.sqrt(a0), a.nvars, a.order)
-    for _ in range(_newton_steps(a.order)):
-        y = y * (1.5 - 0.5 * a * y * y)
-    return a * y
-
-
-# -- implicit and inverse solves ----------------------------------------------
-
-
-def _newton_solve(F, dF, var, W, target=None):
-    """Newton iteration in the series ring for F(..., W, ...) = target (0 if
-    None), with the unknown W substituted for variable ``var`` and dF the
-    partial of F in that variable.  Each step doubles the contact order;
-    W(0) stays 0 (the base point)."""
-    for _ in range(_newton_steps(F.order)):
-        res = F.substitute(var, W)
-        if target is not None:
-            res = res - target
-        W = W - res * jet_recip(dF.substitute(var, W))
-        W.c[(0,) * W.nvars] = 0.0
-    return W
+    y0 = np.sqrt(a0)
+    return _series_solve(lambda y: y * y - a, Jet.constant(y0, a.nvars, a.order), 2.0 * y0)
 
 
 def implicit_solve(lam: Jet) -> Jet:
@@ -379,13 +380,13 @@ def implicit_solve(lam: Jet) -> Jet:
     """
     if lam.nvars != 3:
         raise UsageError("implicit_solve expects a jet in (u, v, s)")
-    if abs(lam.c[0, 0, 0]) > 1e-12 * (1.0 + lam.max_abs()):
-        raise DegeneracyError("implicit_solve: lam(0) != 0")
-    lv = lam.partial(1)
-    if lv.c[0, 0, 0] == 0.0:
+    lam = _without_constant(lam, "implicit_solve: lam(0) != 0")
+    slope = lam.c[0, 1, 0]
+    if slope == 0.0:
         raise DegeneracyError("implicit_solve: d lam/dv vanishes at the base point")
     # the iterate is a jet in (u, v, s) that does not depend on v
-    return _newton_solve(lam, lv, 1, Jet.zeros(3, lam.order)).subs(1, 0.0)
+    sigma = _series_solve(lambda W: lam.substitute(1, W), Jet.zeros(3, lam.order), slope)
+    return sigma.subs(1, 0.0)
 
 
 def invert_coordinate(V: Jet, var: int) -> Jet:
@@ -395,18 +396,12 @@ def invert_coordinate(V: Jet, var: int) -> Jet:
     V must vanish at 0 and have a nonzero derivative in its own variable.
     With one variable this is the compositional inverse of a series.
     """
-    n, order = V.nvars, V.order
-    if abs(V.c[(0,) * n]) > 1e-12 * (1.0 + V.max_abs()):
-        raise DegeneracyError("invert_coordinate: component does not vanish at 0")
-    dV = V.partial(var)
-    d0 = dV.c[(0,) * n]
-    if d0 == 0.0:
+    V = _without_constant(V, "invert_coordinate: component does not vanish at 0")
+    slope = V.c[tuple(int(i == var) for i in range(V.nvars))]
+    if slope == 0.0:
         raise DegeneracyError("invert_coordinate: unit derivative required at 0")
-    xv = Jet.variable(var, n, order)
-    return _newton_solve(V, dV, var, xv * (1.0 / d0), target=xv)
-
-
-# -- quadratic branch solve -----------------------------------------------------
+    xv = Jet.variable(var, V.nvars, V.order)
+    return _series_solve(lambda W: V.substitute(var, W) - xv, Jet.zeros(V.nvars, V.order), slope)
 
 
 def branch_solve(F: Jet) -> np.ndarray:
@@ -414,8 +409,10 @@ def branch_solve(F: Jet) -> np.ndarray:
 
     Returns the coefficients alpha_1 .. alpha_{N-1} of
     u(t) = sum_i alpha_i t^i.  The leading quadratic fixes
-    alpha_1 = sqrt(-[t^2]F / [u^2]F) > 0; every later coefficient is a
-    single linear solve obtained by zeroing the next residual coefficient.
+    alpha_1 = sqrt(-[t^2]F / [u^2]F) > 0.  The blow-up u = t (alpha_1 + x)
+    turns the branch into a simple root x(t) of
+    G(x, t) = F(t (alpha_1 + x), t) / t^2, with x(0) = 0 and slope
+    dG/dx(0, 0) = 2 [u^2]F alpha_1; x(t) gives alpha_2, alpha_3, ...
     """
     if F.nvars != 2:
         raise UsageError("branch_solve expects a jet in (u, t)")
@@ -434,11 +431,11 @@ def branch_solve(F: Jet) -> np.ndarray:
             "branch_solve: leading quadratic is degenerate "
             f"([u^2] = {cuu:.3e}, [t^2] = {ctt:.3e})"
         )
-    Fu = F.partial(0)
-    u_t = Jet.zeros(2, order)  # u(t) = sum_i alpha_i t^i as a jet in (u, t)
-    u_t.c[0, 1] = math.sqrt(-ctt / cuu)
-    for k in range(2, order):
-        res = F.substitute(0, u_t)
-        slope = Fu.substitute(0, u_t).c[0, 1]
-        u_t.c[0, k] = -res.c[0, k + 1] / slope
-    return u_t.c[0, 1:order]
+    alpha1 = math.sqrt(-ctt / cuu)
+    low = F.c.copy()
+    low[0, 0] = low[1, 0] = low[0, 1] = 0.0  # checked to vanish; t^2 then divides
+    x, t = Jet.coordinates(2, order)
+    G = Jet(2, order, low, _trusted=True).substitute(0, t * (alpha1 + x)).divide_monomial((0, 2))
+    G.c[0, 0] = 0.0  # vanishes by the choice of alpha_1
+    x_t = _series_solve(lambda W: G.substitute(0, W), Jet.zeros(2, order), G.c[1, 0])
+    return np.concatenate(([alpha1], x_t.c[0, 1 : order - 1]))

@@ -252,7 +252,7 @@ def reduce(f: MapGerm, order: int = 8) -> NormalFormData:
     # component 2
     cyy, czz = 0.5 * PointDerivatives.from_jets(jets).hess[1:, 1, 1]
     r = math.hypot(cyy, czz)
-    if r <= CLASS_TOL:
+    if r <= CLASS_TOL * np.linalg.norm(g_u):
         raise DegeneracyError(
             "the quadratic part in v vanishes in every normal direction"
         )

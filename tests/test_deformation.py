@@ -246,8 +246,10 @@ def test_asymptotic_limits_match_closed_forms(rng):
 def test_asymptotic_limits_scale_with_the_germ():
     """Multiplying the germ by lam scales the limits by lam^(-1/2, 1/2,
     3/2), also where the grid keeps few rows (lam = 1e3) or none (1e5), and
-    where the branch series has [u^2] = 1e12 against [t^2] = -1 (1e-8)."""
-    for lam in (1e-8, 1e-7, 1e-5, 1e-3, 1.0, 1e2, 1e3, 1e5):
+    where the branch series has [u^2] = 1e12 against [t^2] = -1 (1e-8).
+    At lam = 1e-9 and 1e-12 the rank and quadratic-normal-part tests of
+    admissibility are relative to the germ's own scale, so it still reduces."""
+    for lam in (1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1.0, 1e2, 1e3, 1e5):
         g = MapGerm.parse(
             f"{lam!r}*u; {lam!r}*v^2; {lam!r}*(u^2 + v^3 + u^2*v + s*v)"
         )
