@@ -1,13 +1,13 @@
-"""Parameter-sweep analytics over a deformation: locate the pair of
-cross-caps for negative parameter values, expand their locus in the
+"""Parameter-sweep analytics over a deformation: find the singular points
+at one parameter value, expand the cross-cap pair's locus in the
 square-root parameter, trace the second-order invariants along a grid and
 read their blow-up limits off series, probe the Gaussian-curvature sign
 law, and extract the Frenet data of the singular-point trajectory.
 
-Throughout, s = -st^2 with st >= 0, and u(st) = ``NormalFormData.branch``
-is the positive branch of the singular locus of the reduced germ.  Data at
-a source point (u, v, s) comes from ``NormalFormData.derivatives``, data
-along (u(st), 0, -st^2) as jets in st from ``_on_branch``.
+Throughout, s = -st^2 with st >= 0, u(st) = ``NormalFormData.branch`` is
+the positive branch of the singular locus and (u(st), u(-st)) the pair at
+st (``_pair_at``).  Data at a source point (u, v, s) comes from
+``NormalFormData.derivatives``, along (u(st), 0, -st^2) from ``_on_branch``.
 
 A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
 u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
@@ -62,14 +62,21 @@ class SingularPointRecord:
 @float_contract
 def singular_locus(nf: NormalFormData, s: float):
     """Singular points of the reduced germ at fixed parameter: v = 0 and
-    f33(u, s) = 0 with |u| <= 1, classified pointwise by the frame at each;
-    callers build further geometry from the frames they need."""
+    f33(u, s) = 0 with |u| <= 1 (roots within 1e-7 count once), classified
+    by the frame at each; callers build further geometry from the frames."""
     _pair_alpha1(nf)
-    poly, roots = _locus_roots(nf, s)
+    poly = _slice(nf, s)
+    scale = np.max(np.abs(poly))
+    top = max(np.flatnonzero(np.abs(poly) > 1e-13 * scale), default=0)
+    raw = np.roots(poly[top::-1])
+    real = raw[np.abs(raw.imag) <= ROOT_IMAG_TOL * (1 + np.abs(raw))].real
     records = []
-    for u0 in roots:
+    polished = (_newton(poly[: top + 1], r) for r in real)
+    for u0 in sorted(x for x in polished if abs(x) <= 1.0):
+        if records and abs(u0 - records[-1].point[0]) <= 1e-7:
+            continue  # one root, found twice
         residual = abs(float(np.polynomial.polynomial.polyval(u0, poly)))
-        if residual > LOCUS_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(poly)))):
+        if residual > LOCUS_RESIDUAL_TOL * (1.0 + float(scale)):
             raise ConsistencyError(
                 f"root u = {u0:.6g} of the singular locus leaves residual "
                 f"{residual:.3e}"
@@ -111,39 +118,40 @@ def _on_branch(nf: NormalFormData, tables) -> list:
     return [Jet(1, order, j.substitute(0, u_t).c[0], _trusted=True) for j in on]
 
 
-def _locus_roots(nf: NormalFormData, s: float):
-    """Coefficients in u of the slice f33(u, s) and its real roots in
-    |u| <= 1.  A non-finite s is a DomainError."""
+def _slice(nf: NormalFormData, s: float) -> np.ndarray:
+    """f33(u, s) as coefficients in u; a non-finite s is a DomainError."""
     if not math.isfinite(s):
         raise DomainError(f"non-finite parameter value s = {s}")
-    poly = nf.f33.subs(1, s).c
-    scale = np.max(np.abs(poly))
-    top = len(poly) - 1
-    while top > 0 and abs(poly[top]) <= 1e-13 * scale:
-        top -= 1
-    if top == 0:
-        return poly, []
-    c = poly[: top + 1]
-    raw = np.roots(c[::-1])
-    real = [float(r.real) for r in raw if abs(r.imag) <= ROOT_IMAG_TOL * (1 + abs(r))]
-    deriv = np.polynomial.polynomial.polyder(c)
-    polished = []
-    for r in real:
-        x = r
-        for _ in range(4):
-            dfx = np.polynomial.polynomial.polyval(x, deriv)
-            if dfx == 0.0:
-                break
-            x -= np.polynomial.polynomial.polyval(x, c) / dfx
-        if abs(x) <= 1.0:
-            polished.append(x)
-    polished.sort()
-    out = []
-    for x in polished:
-        if out and abs(x - out[-1]) <= 1e-7:
-            continue
-        out.append(x)
-    return poly, out
+    return nf.f33.subs(1, s).c
+
+
+def _newton(poly, x):
+    """Four Newton steps from x on ``poly`` (lowest degree first); stops at slope 0."""
+    polyval, deriv = np.polynomial.polynomial.polyval, poly[1:] * np.arange(1, len(poly))
+    for _ in range(4):
+        dfx = polyval(x, deriv)
+        if dfx == 0.0:
+            break
+        x -= polyval(x, poly) / dfx
+    return x
+
+
+def _pair_at(nf: NormalFormData, st: float):
+    """The cross-caps (u_plus, u_minus) at s = -st^2 for c2(0) > 0: f33(u, -t^2)
+    is even in t, so Newton on the slice starts at the branch series at +-st.
+    None when st^2 = 0, when a point fails the residual test of singular_locus
+    (past the series' reach Newton may overflow), or unless u_minus < u_plus."""
+    s = -st * st
+    poly = _slice(nf, s)
+    if s == 0.0:
+        return None
+    polyval = np.polynomial.polynomial.polyval
+    starts = [t * polyval(t, nf.branch) for t in (st, -st)]
+    tol = LOCUS_RESIDUAL_TOL * (1.0 + np.max(np.abs(poly)))
+    with np.errstate(all="ignore"):
+        pair = [_newton(poly, u) for u in starts]
+        found = all(abs(polyval(u, poly)) <= tol for u in pair) and pair[1] < pair[0]
+    return (float(pair[0]), float(pair[1])) if found else None
 
 
 # -- locus expansion ---------------------------------------------------------------
@@ -224,33 +232,30 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     """Invariants of both cross-caps along a grid in st.
 
     Returns (TraceTable, NormalFormData, CoefficientSet); rows keep the
-    positive-branch invariants and focal conic, built from that record's
-    frame only.  Each row pairs the two distinct ``singular_locus`` records
-    nearest to +-alpha1 st; an st without such a pair gets no row, and
-    c2(0) < 0 gives no rows at all.
+    positive-branch invariants and focal conic, built from the frame at
+    u_plus only.  Each row holds the pair ``_pair_at`` reads off the branch
+    series; an st without a pair gets no row, and c2(0) < 0 gives no rows
+    at all.
     """
     nf = normalize_parameter(nf_reduce(f, order))
     cs = scalar_coefficients(nf)
-    alpha1 = _pair_alpha1(nf)
-    if alpha1 is None:
+    if _pair_alpha1(nf) is None:
         return TraceTable((), nf), nf, cs
     rows = []
     for st in s_tilde_grid:
-        records = singular_locus(nf, -st * st)
-        plus = min(records, key=lambda r: abs(r.point[0] - alpha1 * st), default=None)
-        minus = min(records, key=lambda r: abs(r.point[0] + alpha1 * st), default=None)
-        if plus is minus:  # no root, or one root nearest to both
+        if (pair := _pair_at(nf, st)) is None:
             continue
-        kind = focal_conic_from_frame(plus.frame).kind
-        if not plus.frame.cross_cap:
+        u_plus, u_minus = pair
+        frame = frame_at(nf.derivatives((u_plus, 0.0, -st * st)))
+        kind = focal_conic_from_frame(frame).kind
+        if not frame.cross_cap:
             raise DegeneracyError(
-                f"trace: the point (u, 0) = ({plus.point[0]:.6g}, 0) at st = {st:.6g} "
+                f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
                 "is not a cross-cap"
             )
-        inv = invariants_from_frame(plus.frame)[1]
+        inv = invariants_from_frame(frame)[1]
         rows.append(
-            TraceRow(st, plus.point[0], minus.point[0], inv.a20, inv.a11, inv.a02,
-                     inv.ku_ext, inv.ka, kind)
+            TraceRow(st, u_plus, u_minus, inv.a20, inv.a11, inv.a02, inv.ku_ext, inv.ka, kind)
         )
     return TraceTable(tuple(rows), nf), nf, cs
 
@@ -353,10 +358,9 @@ def gauss_sign_probe(nf: NormalFormData, s_tilde: float) -> GaussProbeReport:
     whose parameter must be normalized: the default theta grid times the
     default k grid, a fraction of the theta-dependent radius R.  A
     bisection then locates the largest st in (0, 1/2] for which every
-    sample agrees.  An st < 0 (u(st) is the positive branch) is a
-    DomainError; so are an st with u(st) = 0 (st = 0, or st^2 below the
-    float range: every sample at the S1 point), an st without a locus root
-    in |u| <= 1, and c2(0) <= 0.
+    sample agrees (an st without a pair disagrees).  The samples ring u_plus
+    of the pair at st (``_pair_at``).  An st < 0 is a DomainError; so are an
+    st without a pair (st = 0, or st^2 below the float range) and c2(0) <= 0.
     """
     if not nf.parameter_normalized:
         raise UsageError("gauss_sign_probe needs a parameter-normalized normal form")
@@ -365,17 +369,17 @@ def gauss_sign_probe(nf: NormalFormData, s_tilde: float) -> GaussProbeReport:
     cs = scalar_coefficients(nf)
     if abs(cs.f31_0) <= CLASS_TOL:
         raise DomainError("the sign law needs f31(0) != 0")
-    alpha1 = _pair_alpha1(nf, "the sign probe")
+    _pair_alpha1(nf, "the sign probe")
     thetas = default_theta_grid()
     k_fracs = default_k_grid()
     trig = _theta_trig(thetas)
 
     def probe(st):
-        return _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig)
+        return _probe_once(nf, cs, st, thetas, k_fracs, trig)
 
     agreement, mismatches, u_st = probe(s_tilde)
-    if math.isnan(u_st):
-        raise DomainError(f"no locus root u(st) in the window |u| <= 1 at st = {s_tilde:g}")
+    if u_st is None:
+        raise DomainError(f"no cross-cap pair at st = {s_tilde:g}")
 
     lo, hi = 0.0, 0.5
     if probe(hi)[0] == 1.0:
@@ -406,18 +410,12 @@ def _theta_trig(thetas):
     return np.array(sines), np.array(cosines), np.array([x**2 for x in sines])
 
 
-def _probe_once(nf, cs, alpha1, st, thetas, k_fracs, trig):
-    """Sign agreement on the theta x k grid at one st; all samples share
-    s = -st^2 and are evaluated as one batch."""
-    s = -st * st
-    _, roots = _locus_roots(nf, s)
-    if not roots:
-        return 0.0, (), float("nan")
-    u_st = min(roots, key=lambda r: abs(r - alpha1 * st))
-    if u_st == 0.0:
-        raise DomainError(
-            f"u(st) = 0 at st = {st:g}: every sample sits at the S1 point"
-        )
+def _probe_once(nf, cs, st, thetas, k_fracs, trig):
+    """Sign agreement on the theta x k grid at one st and the pair's u_plus
+    there (0 and None without a pair); the samples share s = -st^2, one batch."""
+    if (pair := _pair_at(nf, st)) is None:
+        return 0.0, (), None
+    s, u_st = -st * st, pair[0]
     sin_t, cos_t, sin2_t = trig
     c2 = cs.c20**2
     shoulder = c2 + 3.0 * cs.d2

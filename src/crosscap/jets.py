@@ -436,6 +436,8 @@ def branch_solve(F: Jet) -> np.ndarray:
     low[0, 0] = low[1, 0] = low[0, 1] = 0.0  # checked to vanish; t^2 then divides
     x, t = Jet.coordinates(2, order)
     G = Jet(2, order, low, _trusted=True).substitute(0, t * (alpha1 + x)).divide_monomial((0, 2))
+    exact = max(order - 2, 1)  # the division by t^2 leaves G exact to this degree
+    G = Jet(2, exact, G.c[: exact + 1, : exact + 1])
     G.c[0, 0] = 0.0  # vanishes by the choice of alpha_1
-    x_t = _series_solve(lambda W: G.substitute(0, W), Jet.zeros(2, order), G.c[1, 0])
+    x_t = _series_solve(lambda W: G.substitute(0, W), Jet.zeros(2, exact), G.c[1, 0])
     return np.concatenate(([alpha1], x_t.c[0, 1 : order - 1]))

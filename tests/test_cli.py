@@ -5,7 +5,8 @@ import pytest
 
 from crosscap import cli
 from crosscap.errors import ConsistencyError
-from crosscap.germs import MODEL_S1_PLUS
+from crosscap.germs import MODEL_S1_PLUS, MapGerm
+from crosscap.normal_form import normalize_parameter, reduce
 from crosscap.reports import to_json
 
 EX4 = "u; -u^2 + v^2; u^2 + v^3 + v*s + u^2*v"
@@ -97,11 +98,11 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         # the vertices are finite; the K-signs hit the cone's apex
         ("mesh", "--germ", "u; v; sqrt(u^2 + v^2)", "--nu", "3", "--nv", "3",
          "--k-sign"),
-        # u(st) = 0: every sample would sit at the S1 point
+        # no cross-cap pair at st^2 = 0: every sample would sit at the S1 point
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "0"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "1e-200"),
-        # the pair root alpha1 * st ~ 1.58 lies outside the window |u| <= 1
-        ("gauss-probe", "--germ", "100*u; 100*(v^2); 100*(u^2 + v^3 + u^2*v + s*v)"),
+        # at st = 0.05 the slice has one real root: the pair's minus point is gone
+        ("gauss-probe", "--germ", "u; v^2; u^2 + v^3 + v*(s + 0.05*u^2 + u^3)"),
         # E's product B * d_uuv leaves the float range
         ("analyze", "--germ", "1e0*u; 1e100*v^2; 1e20*u^2 + 1e0*u*v", "--point", "0,0"),
     ],
@@ -259,11 +260,12 @@ def test_trace_files_and_determinism(capsys, tmp_path):
     assert rep["all_conics"] == ["hyperbola"]
 
 
-def test_trace_down_to_small_st_keeps_the_hyperbola(capsys):
+def test_trace_down_to_small_st_keeps_the_hyperbola(capsys, tmp_path):
     """At st = 0.1 * 2^-11 the conic's 3x3 determinant A C^2 / 4 is 9.5e-9,
     below CONIC_TOL * scale^1.5 = 3.2e-8 for its entry scale 10; the conic
     must still count as non-degenerate because the point is a cross-cap."""
-    code, out = run(capsys, "trace", "--germ", TRACE_GERM, "--s-tilde-grid", "0.1:2:12")
+    code, out = run(capsys, "trace", "--germ", TRACE_GERM, "--s-tilde-grid", "0.1:2:12",
+                    "--out", str(tmp_path))
     assert code == 0
     rep = last_json(out)
     assert rep["all_conics"] == ["hyperbola"]
@@ -272,9 +274,10 @@ def test_trace_down_to_small_st_keeps_the_hyperbola(capsys):
 
 
 def test_trace_single_root_st_gets_no_row(capsys, tmp_path):
-    """Only the two smallest st of the default grid have two distinct locus
-    roots; the larger ones, a single root, give no row.  The limits come
-    from the branch series, not from the rows."""
+    """Only the two smallest st of the default grid have a cross-cap pair;
+    at the larger ones the slice has a single real root, the minus point is
+    gone and the st gives no row.  The limits come from the branch series,
+    not from the rows."""
     code, out = run(capsys, "trace", "--germ", "u; v^2; v*(s + 0.05*u^2 + u^3)",
                     "--out", str(tmp_path))
     assert code == 0
@@ -285,9 +288,9 @@ def test_trace_single_root_st_gets_no_row(capsys, tmp_path):
         assert limit == pytest.approx(asym["theory"][name], rel=1e-13, abs=1e-13)
 
 
-def test_trace_grid_ratio_next_to_one_gives_the_limits(capsys):
+def test_trace_grid_ratio_next_to_one_gives_the_limits(capsys, tmp_path):
     code, out = run(capsys, "trace", "--germ", TRACE_GERM,
-                    "--s-tilde-grid", "0.1:1.0000001:6")
+                    "--s-tilde-grid", "0.1:1.0000001:6", "--out", str(tmp_path))
     assert code == 0
     asym = last_json(out)["asymptotics"]
     for name, limit in asym["limits"].items():
@@ -394,12 +397,12 @@ def test_focal_no_singular_point_is_domain_error(capsys):
     assert last_json(out)["error"]["type"] == "math-domain"
 
 
-def test_focal_point_needs_no_singular_locus(capsys):
+def test_focal_point_needs_no_singular_locus(capsys, tmp_path):
     """With --point the locus is not searched, so a germ whose locus is
     unsupported (c2(0) = 0) still gets the conic at a point on it."""
     germ = "u; v^2; u^2 + v^3 + u^3*v + s*v"
     code, out = run(capsys, "focal", "--germ", germ, "--s", "-0.01",
-                    "--point", "0.21544346900318837,0")
+                    "--point", "0.21544346900318837,0", "--out", str(tmp_path))
     assert code == 0
     assert last_json(out)["conic"]["kind"] == "hyperbola"
 
@@ -420,6 +423,17 @@ def test_gauss_probe_cli(capsys):
     rep = last_json(out)
     assert rep["agreement"] == 1
     assert rep["theta_count"] == 16 and rep["k_count"] == 8
+
+
+def test_gauss_probe_finds_the_pair_at_any_scale(capsys):
+    """The pair is read off the branch series, so u(st) = alpha1 st ~ 1.58
+    is found although it lies outside |u| <= 1, the window of
+    ``singular_locus``."""
+    germ = "100*u; 100*(v^2); 100*(u^2 + v^3 + u^2*v + s*v)"
+    code, out = run(capsys, "gauss-probe", "--germ", germ)
+    assert code == 0
+    nf = normalize_parameter(reduce(MapGerm.parse(germ)))
+    assert last_json(out)["u_of_st"] == nf.branch[0] * 0.05
 
 
 # -- mesh --------------------------------------------------------------------------

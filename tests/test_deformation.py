@@ -147,12 +147,45 @@ def test_trace_empty_when_locus_on_other_side():
 
 
 def test_trace_rows_hold_two_distinct_points():
-    # for st >= 0.00625 the locus s + 0.05 u^2 + u^3 = 0 has one root in
-    # |u| <= 1; it is nearest to both +-alpha1 st, so those st get no row
+    # for st >= 0.00625 the slice s + 0.05 u^2 + u^3 = 0 has one real root:
+    # the minus point has met the third root and left the real line, so
+    # Newton from the branch series at -st fails the residual test there
     table, _, _ = trace(MapGerm.parse("u; v^2; v*(s + 0.05*u^2 + u^3)"), GRID)
     assert table.column("s_tilde").tolist() == GRID[5:]
     assert np.all(table.column("u_minus") < 0)
     assert np.all(table.column("u_plus") > 0)
+
+
+def test_trace_pair_matches_the_general_root_search(rng):
+    """Wherever the np.roots search of ``singular_locus`` sees two distinct
+    roots nearest to +-alpha1 st, ``trace`` has a row whose pair, read off
+    the branch series, is those two roots to rounding."""
+    compared = 0
+    for _ in range(20):
+        table, nf, _ = trace(seeded_germ(rng), GRID)
+        rows = {row.s_tilde: row for row in table.rows}
+        for st in GRID:
+            us = [r.point[0] for r in singular_locus(nf, -st * st)]
+            plus = min(us, key=lambda u: abs(u - nf.branch[0] * st), default=None)
+            minus = min(us, key=lambda u: abs(u + nf.branch[0] * st), default=None)
+            if plus == minus:
+                continue
+            row = rows[st]
+            assert abs(row.u_plus - plus) <= 4.4e-16 * abs(plus), st
+            assert abs(row.u_minus - minus) <= 4.4e-16 * abs(minus), st
+            compared += 1
+    assert compared >= 100
+
+
+def test_trace_gives_no_row_where_the_pair_is_gone():
+    """With c2(0) = 1e-6 the minus point meets a third root of
+    s + 1e-6 u^2 + u^3 + u^6 at st ~ 4e-10 and leaves the real line.  Past
+    that no st has a pair: not at 1e-3, where a nearest-root guess would
+    pair u_plus with the unrelated root near u = -1, and not at 0.5 or 1,
+    where the branch series' start overflows on its way through Newton."""
+    f = MapGerm.parse("u; v^2; u^2*v^2 + v^3 + v*(s + 1e-6*u^2 + u^3 + u^6)")
+    table, _, _ = trace(f, [1.0, 0.5, 1e-3])
+    assert table.rows == ()
 
 
 # SHA-256 of the trace.csv that the README trace command writes
@@ -245,22 +278,28 @@ def test_asymptotic_limits_match_closed_forms(rng):
 
 def test_asymptotic_limits_scale_with_the_germ():
     """Multiplying the germ by lam scales the limits by lam^(-1/2, 1/2,
-    3/2), also where the grid keeps few rows (lam = 1e3) or none (1e5), and
-    where the branch series has [u^2] = 1e12 against [t^2] = -1 (1e-8).
-    At lam = 1e-9 and 1e-12 the rank and quadratic-normal-part tests of
-    admissibility are relative to the germ's own scale, so it still reduces."""
-    for lam in (1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1.0, 1e2, 1e3, 1e5):
+    3/2), also where the branch series has [u^2] = 1e12 against [t^2] = -1
+    (1e-8).  At lam = 1e-9 and 1e-12 the rank and quadratic-normal-part
+    tests of admissibility are relative to the germ's own scale, so it still
+    reduces.  The pair is read off the branch series, so every grid point
+    keeps its row at u = +-alpha1 st, however far the scale moves the pair
+    from |u| ~ 1 (alpha1 = lam^(3/4) runs from 1e-9 to 5.6e3)."""
+    for lam in (1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1.0, 1e2, 1e3, 1e4, 1e5):
         g = MapGerm.parse(
             f"{lam!r}*u; {lam!r}*v^2; {lam!r}*(u^2 + v^3 + u^2*v + s*v)"
         )
-        table, _, cs = trace(g, GRID)
+        table, nf, cs = trace(g, GRID)
         rep = asymptotic_limits(table, cs)
         want = (0.5 / lam**0.5, 0.5 * lam**0.5, 0.5 * lam**1.5)
         for name, target in zip(("a20", "a11", "a02"), want):
             assert abs(rep.limits[name] - target) <= 1e-13 * target, (lam, name)
         ku_want = 2.0 * abs(cs.f31_0)
         assert abs(rep.ku_ext_limit - ku_want) <= 1e-13 * max(1.0, ku_want), lam
-    assert table.rows == ()  # the last germ, lam = 1e5, leaves no row
+        assert len(table.rows) == len(GRID), lam
+        for row in table.rows:
+            u_st = nf.branch[0] * row.s_tilde
+            assert abs(row.u_plus - u_st) <= 4.4e-16 * u_st, (lam, row.s_tilde)
+            assert abs(row.u_minus + u_st) <= 4.4e-16 * u_st, (lam, row.s_tilde)
 
 
 def test_extrapolation_stability(s1_plus):

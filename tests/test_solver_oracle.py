@@ -6,8 +6,8 @@ share no code with ``Jet``.  The inputs are dense jets with dyadic
 coefficients, so the float jet and the exact polynomial hold the same
 numbers, and every solution is an exact rational.  Every coefficient up to
 the truncation order is compared, so a solve that stops one step short of
-it fails here (``branch_solve`` returns alpha_1 .. alpha_{N-1}, which are
-fixed two steps before the end of its loop).
+it fails here (``branch_solve`` returns alpha_1 .. alpha_{N-1}, which it
+solves on a jet of order N - 2, the degree to which its blow-up is exact).
 """
 
 from fractions import Fraction
