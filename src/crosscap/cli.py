@@ -327,7 +327,7 @@ def cmd_focal(args):
 def cmd_gauss_probe(args):
     _check_order(args.order)
     germ = _load_germ(args)
-    nf = nfm.normalize_parameter(nfm.reduce(germ, args.order))
+    nf = nfm.normalized(germ, args.order)
     rep = da.gauss_sign_probe(nf, args.s_tilde)
     report = _meta(args)
     report.update(

@@ -8,6 +8,8 @@ Throughout, s = -st^2 with st >= 0, u(st) = ``NormalFormData.branch`` is
 the positive branch of the singular locus and (u(st), u(-st)) the pair at
 st (``_pair_at``).  Data at a source point (u, v, s) comes from
 ``NormalFormData.derivatives``, along (u(st), 0, -st^2) from ``_on_branch``.
+``trace`` and ``trajectory_geometry`` take the germ and share its one
+normal form per order (``normal_form.normalized``).
 
 A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
 u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
@@ -38,8 +40,7 @@ from .normal_form import (
     CLASS_TOL,
     CoefficientSet,
     NormalFormData,
-    normalize_parameter,
-    reduce as nf_reduce,
+    normalized,
     scalar_coefficients,
 )
 
@@ -138,19 +139,25 @@ def _newton(poly, x):
 
 def _pair_at(nf: NormalFormData, st: float):
     """The cross-caps (u_plus, u_minus) at s = -st^2 for c2(0) > 0: f33(u, -t^2)
-    is even in t, so Newton on the slice starts at the branch series at +-st.
-    None when st^2 = 0, when a point fails the residual test of singular_locus
-    (past the series' reach Newton may overflow), or unless u_minus < u_plus."""
+    is even in t, so Newton on the slice p starts at the branch series at +-st.
+    A point u is kept when |p(u)| <= LOCUS_RESIDUAL_TOL * sum_k |p_k| |u|^k,
+    relative to the size of the terms summed there (past the series' reach
+    Newton may overflow; a non-finite size fails).  None when st^2 = 0, when a
+    point fails that test, or unless u_minus < u_plus."""
     s = -st * st
     poly = _slice(nf, s)
     if s == 0.0:
         return None
     polyval = np.polynomial.polynomial.polyval
     starts = [t * polyval(t, nf.branch) for t in (st, -st)]
-    tol = LOCUS_RESIDUAL_TOL * (1.0 + np.max(np.abs(poly)))
+
+    def is_root(u):
+        size = polyval(abs(u), np.abs(poly))
+        return math.isfinite(size) and abs(polyval(u, poly)) <= LOCUS_RESIDUAL_TOL * size
+
     with np.errstate(all="ignore"):
         pair = [_newton(poly, u) for u in starts]
-        found = all(abs(polyval(u, poly)) <= tol for u in pair) and pair[1] < pair[0]
+        found = all(is_root(u) for u in pair) and pair[1] < pair[0]
     return (float(pair[0]), float(pair[1])) if found else None
 
 
@@ -235,9 +242,10 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     positive-branch invariants and focal conic, built from the frame at
     u_plus only.  Each row holds the pair ``_pair_at`` reads off the branch
     series; an st without a pair gets no row, and c2(0) < 0 gives no rows
-    at all.
+    at all.  The normal form is ``normalized(f, order)``, stored on ``f``, so
+    a later ``trajectory_geometry(f, order)`` does not reduce ``f`` again.
     """
-    nf = normalize_parameter(nf_reduce(f, order))
+    nf = normalized(f, order)
     cs = scalar_coefficients(nf)
     if _pair_alpha1(nf) is None:
         return TraceTable((), nf), nf, cs
@@ -461,7 +469,16 @@ class TrajectoryReport:
 
 @float_contract
 def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
-    nf = normalize_parameter(nf_reduce(f, order))
+    """Frenet data at st = 0 of the singular-point trajectory
+    gamma(st) = f(u(st), 0, -st^2) of the deformation ``f``, from its normal
+    form at ``order``: the curvature kappa0 (and 2 hypot(f21(0), f31(0)),
+    its value from the invariants), the torsion tau0, kappa'(0), and f24(0,0)
+    and f34(0,0) recovered from them next to the normal form's own values.
+    With kappa0 <= 1e-12 the torsion and the recovery are skipped.  The
+    normal form is ``normalized(f, order)``, the one ``trace(f, grid,
+    order)`` stored on ``f``, with its branch series and partials.
+    c2(0) <= 0 is a DegeneracyError."""
+    nf = normalized(f, order)
     cs = scalar_coefficients(nf)
     _pair_alpha1(nf, "trajectory geometry")
 

@@ -85,7 +85,7 @@ class SecondOrderFrame:
 
 def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     """Align the source so Ker df = <d_v>, flip v when needed for C >= 0,
-    and decide the cross-cap test: C > WHITNEY_TOL (|f_u| |f_vv| |f_uv| + 1).
+    and decide the cross-cap test: C > WHITNEY_TOL |f_u| |f_vv| |f_uv|.
     C stays a numpy scalar, so a product with it that overflows raises."""
     n = d.null_vector()
     t = np.array([n[1], -n[0]])
@@ -98,7 +98,7 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
         f_uv = -f_uv
         C = -C
     scale = np.linalg.norm(f_u) * np.linalg.norm(f_vv) * np.linalg.norm(f_uv)
-    cross_cap = bool(C > WHITNEY_TOL * (scale + 1.0))
+    cross_cap = bool(C > WHITNEY_TOL * scale)
     return SecondOrderFrame(f_u, f_uu, f_uv, f_vv, C, cross_cap)
 
 

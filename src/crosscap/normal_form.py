@@ -377,6 +377,18 @@ def normalize_parameter(nf: NormalFormData) -> NormalFormData:
     return out
 
 
+def normalized(f: MapGerm, order: int = 8) -> NormalFormData:
+    """``normalize_parameter(reduce(f, order))``, computed once per germ and
+    order.  The result is stored on ``f`` in a per-order dict in its
+    ``__dict__``, where ``cached_property`` stores too, so the germ's fields,
+    hash and equality are unchanged.  An error is not stored: a germ that
+    raises raises again on the next call."""
+    memo = vars(f).setdefault("_normalized", {})
+    if order not in memo:
+        memo[order] = normalize_parameter(reduce(f, order))
+    return memo[order]
+
+
 @float_contract
 def scalar_coefficients(nf: NormalFormData) -> CoefficientSet:
     f33, f32 = nf.f33, nf.f32

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from crosscap import normal_form
 from crosscap.germs import MODEL_S1_MINUS, MODEL_S1_PLUS, MapGerm
 
 
@@ -60,4 +63,23 @@ def jet_at_orders(monkeypatch):
         return original(self, point, order)
 
     monkeypatch.setattr(MapGerm, "jet_at", counted)
+    return orders
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """Orders of every normal_form.reduce call made while the test runs,
+    counted at each name a crosscap module binds it to."""
+    orders = []
+    original = normal_form.reduce
+
+    def counted(f, order=8):
+        orders.append(order)
+        return original(f, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crosscap":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
     return orders

@@ -27,3 +27,11 @@ def test_one_seed_1_item_passes_its_check(workloads, name, tmp_path):
     workload = workloads[name](1, tmp_path)
     item = workload.next_input()
     workload.check(item, workload.run(item))
+
+
+def test_one_sweep_item_reduces_its_germ_once(workloads, reduce_calls, tmp_path):
+    """``trace`` and ``trajectory_geometry`` share the germ's one normal form."""
+    workload = workloads["sweep"](1, tmp_path)
+    item = workload.next_input()
+    workload.check(item, workload.run(item))
+    assert reduce_calls == [8]

@@ -1,10 +1,12 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from crosscap import deformation
 from crosscap.deformation import (
+    TrajectoryReport,
     asymptotic_limits,
     default_k_grid,
     default_theta_grid,
@@ -181,11 +183,23 @@ def test_trace_gives_no_row_where_the_pair_is_gone():
     """With c2(0) = 1e-6 the minus point meets a third root of
     s + 1e-6 u^2 + u^3 + u^6 at st ~ 4e-10 and leaves the real line.  Past
     that no st has a pair: not at 1e-3, where a nearest-root guess would
-    pair u_plus with the unrelated root near u = -1, and not at 0.5 or 1,
-    where the branch series' start overflows on its way through Newton."""
+    pair u_plus with the unrelated root near u = -1, not at 0.5 or 1,
+    where the branch series' start overflows on its way through Newton,
+    and not at 1e-6 or 1e-9, where Newton ends at points whose slice values
+    are as large as the terms summed there (an absolute residual test
+    passed them at 1e-9)."""
     f = MapGerm.parse("u; v^2; u^2*v^2 + v^3 + v*(s + 1e-6*u^2 + u^3 + u^6)")
-    table, _, _ = trace(f, [1.0, 0.5, 1e-3])
+    table, _, _ = trace(f, [1.0, 0.5, 1e-3, 1e-6, 1e-9])
     assert table.rows == ()
+
+
+def test_trace_keeps_the_small_st_cross_caps_of_a_small_c2():
+    """C = O(st) at the pair, so the Whitney test is relative to the
+    frame's scale: with c2(0) = 0.01, C is about 6e-10 at st = 1.49e-9, and
+    the point is a cross-cap."""
+    table, _, _ = trace(MapGerm.parse("u; v^2; v*(s + 0.01*u^2 + 5*u^3)"), [1e-8, 1.49e-9])
+    assert table.column("s_tilde").tolist() == [1e-8, 1.49e-9]
+    assert np.all(table.column("u_minus") < 0) and np.all(table.column("u_plus") > 0)
 
 
 # SHA-256 of the trace.csv that the README trace command writes
@@ -224,6 +238,29 @@ def test_c2_zero_is_one_degeneracy_error():
     for call in calls:
         with pytest.raises(DegeneracyError, match=r"needs c2\(0\) != 0"):
             call()
+
+
+def test_c2_zero_raises_again_on_the_stored_normal_form(reduce_calls):
+    """The first call stores the normal form of C2_ZERO; every later call on
+    the germ raises the same DegeneracyError from it."""
+    f = MapGerm.parse(C2_ZERO)
+    messages = []
+    for call in (trace, trajectory_geometry) * 2:
+        with pytest.raises(DegeneracyError) as info:
+            call(f)
+        messages.append(str(info.value))
+    assert messages[:2] == messages[2:]
+    assert reduce_calls == [8]
+
+
+def test_trace_keeps_one_normal_form_per_germ_and_order(reduce_calls):
+    f = MapGerm.parse(F_PLUS)
+    nf8 = trace(f, GRID)[1]
+    assert trace(f, GRID)[1] is nf8
+    nf6 = trace(f, GRID, 6)[1]
+    assert (nf6.order, nf8.order) == (6, 8)
+    assert trace(f, GRID, 6)[1] is nf6 and trace(f, GRID, 8)[1] is nf8
+    assert reduce_calls == [8, 6]
 
 
 def test_c2_negative_has_no_pair_from_the_s1_point():
@@ -454,6 +491,27 @@ def test_trajectory_recovery_with_full_cubic_structure():
     assert not rep.recovery_skipped
     assert abs(rep.recovered_f24 - rep.f24_00) <= 1e-6
     assert abs(rep.recovered_f34 - rep.f34_00) <= 1e-6
+
+
+def test_trajectory_reuses_the_normal_form_trace_stored(reduce_calls):
+    """``trajectory_geometry`` after ``trace`` on the same germ reduces
+    nothing more, and gives field by field and bit for bit what it gives on
+    a freshly parsed copy of the germ."""
+    sources = (
+        F_PLUS,
+        "u; v^2 + u^2 + 0.3*u*s; v^3 + u^2*v + u^2 + s*v - 0.2*u*s",
+        "u; v^2 + 0.2*u^2 + 0.3*u*s;"
+        " 0.4*u^2 + 0.1*u^3 + v^3 + v*(s + 0.3*u*s + u^2 - 0.25*u^3) - 0.2*u*s",
+    )
+    for source in sources:
+        f = MapGerm.parse(source)
+        trace(f, GRID)
+        shared = trajectory_geometry(f)
+        assert reduce_calls == [8]
+        fresh = trajectory_geometry(MapGerm.parse(source))
+        for field in fields(TrajectoryReport):
+            assert repr(getattr(shared, field.name)) == repr(getattr(fresh, field.name))
+        reduce_calls.clear()
 
 
 def test_trajectory_recovery_on_rich_germ(rng):

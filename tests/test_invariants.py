@@ -6,6 +6,8 @@ import pytest
 from crosscap.errors import DomainError
 from crosscap.germs import (
     MODEL_CROSS_CAP,
+    MODEL_S1_MINUS,
+    MODEL_S1_PLUS,
     Add,
     MapGerm,
     Mul,
@@ -18,6 +20,7 @@ from crosscap.invariants import (
     umbrella_invariants,
     whitney_test,
 )
+from crosscap.normal_form import apply_equivalence, random_diffeo, random_rotation
 
 
 def model_umbrella_germ(a20, a11, a02):
@@ -39,6 +42,15 @@ def test_whitney_cross_cap_model():
 
 def test_whitney_false_at_s1_point(s1_plus):
     assert not whitney_test(s1_plus.at_parameter(0.0), (0.0, 0.0))
+
+
+def test_whitney_false_at_the_s1_point_of_equivalent_germs(rng):
+    """C vanishes at the S1 point of every germ equivalent to an S1 model;
+    relative to |f_u| |f_vv| |f_uv| its rounding stays far below WHITNEY_TOL."""
+    models = [MapGerm.parse(t) for t in (MODEL_S1_PLUS, MODEL_S1_MINUS)]
+    for k in range(300):
+        g = apply_equivalence(models[k % 2], random_diffeo(rng), random_rotation(rng))
+        assert not whitney_test(g.at_parameter(0.0), (0.0, 0.0)), k
 
 
 def test_whitney_true_on_deformed_locus(s1_plus):

@@ -19,6 +19,7 @@ from crosscap.normal_form import (
     classify,
     monomial_coefficients,
     normalize_parameter,
+    normalized,
     random_diffeo,
     random_rotation,
     reduce,
@@ -284,6 +285,21 @@ def test_normalize_genericity_error():
     f = MapGerm.parse("u; v^2; v*(u^2 + s^2)")
     with pytest.raises(GenericityError):
         normalize_parameter(reduce(f))
+
+
+def test_normalized_stores_no_error(reduce_calls):
+    """A germ whose reduction or normalization raises raises again on the
+    next call, which reduces it again: no error is stored."""
+    cases = (("u; u*v + s*v; v^2", DegeneracyError), ("u; v^2; v*(u^2 + s^2)", GenericityError))
+    for source, error in cases:
+        f = MapGerm.parse(source)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                normalized(f)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert reduce_calls == [8, 8, 8, 8]
 
 
 # -- scalar coefficients -----------------------------------------------------------------
