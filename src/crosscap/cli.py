@@ -10,6 +10,7 @@ included, through ``errors.float_contract``), 4 internal-consistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,7 +31,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call of the process (``parse_args`` leaves it unchanged)."""
     p = _ArgumentParser(
         prog="crosscap",
         description="Normal forms and invariant sweeps for one-parameter "

@@ -307,7 +307,23 @@ def horner(c, point):
     same operations as at that point alone.  The last axis is evaluated
     first, so scalar trailing coordinates (the shared s of a probe) are
     evaluated once, before the table is spread over the points.
+
+    Only the live box of the table is evaluated: each trailing axis is cut
+    after its last index that holds a nonzero cell in any polynomial of the
+    batch (keeping at least two cells, so that an array coordinate still
+    spreads the table over its points), once, before any coordinate spreads
+    the table.  The slabs cut off are zero, and for a finite x, ``0 * x + c``
+    is ``c`` whenever ``c`` is nonzero, so a nonzero result is bit-identical
+    to the full Horner scheme's (the sparse form of Pena & Sauer, SIAM J.
+    Numer. Anal. 37, 2000).  An exact zero result may carry the other sign:
+    the full scheme can reach it through cut ``-0.0`` cells.  A non-finite
+    coordinate is a DomainError: the full scheme would turn it into nan
+    (``0 * inf``) in the cut slabs, and the cut alone would hide that.
     """
+    if not all(np.isfinite(x).all() for x in point):
+        raise DomainError("non-finite coordinate in a Horner evaluation")
+    live = np.nonzero(c.reshape((-1,) + c.shape[c.ndim - len(point):]).any(axis=0))
+    c = c[(...,) + tuple(slice(max(k.max(initial=0), 1) + 1) for k in live)]
     batched = 0
     for x in reversed(point):
         if isinstance(x, np.ndarray) and x.ndim:

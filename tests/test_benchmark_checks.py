@@ -35,3 +35,14 @@ def test_one_sweep_item_reduces_its_germ_once(workloads, reduce_calls, tmp_path)
     item = workload.next_input()
     workload.check(item, workload.run(item))
     assert reduce_calls == [8]
+
+
+def test_a_pointwise_item_repeats_byte_for_byte(workloads, tmp_path):
+    """Run one input twice in one process: the second run reuses the CLI
+    parser of the first, and its check compares its report bytes with the
+    first run's."""
+    workload = workloads["pointwise"](1, tmp_path)
+    item = workload.next_input()
+    for _ in range(2):
+        workload.check(item, workload.run(item))
+    assert list(workload.first_bytes) == [item[0]]

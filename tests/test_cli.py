@@ -86,6 +86,9 @@ GP_GERM = "u; v^2 + u*s; u^2 + v^3 + u^2*v + v*s"  # the README gauss-probe germ
         ("focal", "--germ", MODEL_S1_PLUS, "--s", "inf"),
         ("focal", "--germ", MODEL_S1_PLUS, "--s=-inf"),
         ("focal", "--germ", MODEL_S1_PLUS, "--s", "nan", "--point", "0,0"),
+        # the normal form's derivatives refuse the coordinate itself
+        ("focal", "--germ", MODEL_S1_PLUS, "--point", "inf,0"),
+        ("focal", "--germ", MODEL_S1_PLUS, "--point", "0,nan"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "nan"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde", "inf"),
         ("gauss-probe", "--germ", GP_GERM, "--s-tilde=-inf"),
@@ -208,6 +211,29 @@ def test_order_range_enforced(capsys):
         capsys, "analyze", "--germ", MODEL_S1_PLUS, "--order", "3"
     )
     assert code == 2
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    """``main`` reuses the parser built by its first call; parsing leaves
+    no state in it, so each call prints what it prints on a fresh parser."""
+    src = tmp_path / "germ.txt"
+    src.write_text(GP_GERM)
+    calls = [
+        ["analyze", "--germ", MODEL_S1_PLUS, "--order", "eight"],
+        ["gauss-probe", "--germ", GP_GERM],
+        ["mesh", "--file", str(src), "--s", "-0.25", "--k-sign", "--nu", "4", "--nv", "4",
+         "--out", str(tmp_path)],
+        ["analyze", "--germ", GP_GERM, "--file", str(src)],
+        ["analyze", "--germ", MODEL_S1_PLUS, "--point", "0,0"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _ in reused] == [2, 0, 0, 2, 0]
+    assert reused == fresh
 
 
 # -- normal-form -------------------------------------------------------------------

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import compose_poly_1var, random_jet
 from crosscap.errors import DegeneracyError, DomainError, UsageError
@@ -371,3 +374,70 @@ def test_eval_and_subs():
     assert math.isclose(horner(js.c, (0.5, 2.0)), 0.25 - 6.0 + 2.0)
     with pytest.raises(UsageError, match="use horner"):
         Jet.variable(0, 1, 4).subs(0, 1.0)
+
+
+# -- horner --------------------------------------------------------------------------
+
+
+def full_horner(c, point):
+    """Horner over every cell of the table, the reference for the live box."""
+    batched = 0
+    for x in reversed(point):
+        if isinstance(x, np.ndarray) and x.ndim:
+            x = np.reshape(x, (-1,) + (1,) * (c.ndim - 1 - batched))
+            batched = 1
+        acc = c[..., -1]
+        for i in range(c.shape[-1] - 2, -1, -1):
+            acc = acc * x + c[..., i]
+        c = acc
+    return c
+
+
+CELLS = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def tables_and_points(draw):
+    """A table with 0-2 batch axes and 1-3 trailing axes (of 2-5 cells, as
+    in a jet's table) whose trailing slabs past a random cut are zero (of
+    either sign), and a point of scalar and length-N array coordinates."""
+    n_batch, n_axes = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(n_batch))
+    shape += tuple(draw(st.integers(2, 5)) for _ in range(n_axes))
+    c = draw(hnp.arrays(float, shape, elements=CELLS))
+    for axis in range(n_batch, len(shape)):
+        cut = draw(st.integers(0, shape[axis]))
+        index = (slice(None),) * axis + (slice(cut, None),)
+        c[index] = draw(st.sampled_from([0.0, -0.0]))
+    n = draw(st.integers(1, 4))
+    point = tuple(
+        draw(hnp.arrays(float, n, elements=COORDS) | COORDS) for _ in range(n_axes)
+    )
+    return c, point
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=tables_and_points())
+@example(case=(np.array([-0.0, -0.0, 0.0]), (2.0,)))  # the cut gives -0.0, the full scheme +0.0
+@example(case=(np.zeros((2, 3, 4)), (np.array([1.0, -1.0]), 0.5)))
+def test_horner_live_box_matches_the_full_scheme(case):
+    """Nonzero results are bit-identical to Horner over the whole table; an
+    exact zero may only change its sign."""
+    c, point = case
+    got, ref = np.asarray(horner(c, point)), np.asarray(full_horner(c, point))
+    assert got.shape == ref.shape
+    zero = ref == 0.0
+    assert np.array_equal(got == 0.0, zero)
+    assert np.array_equal(got[~zero], ref[~zero])
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(np.inf,), (np.nan,), (-np.inf,), (np.array([0.5, np.inf]),)],
+)
+def test_horner_refuses_a_non_finite_coordinate(point):
+    """At inf the full scheme gives nan (0 * inf in the zero slab); the cut
+    alone would give 2 * inf + 1 = inf in the first row."""
+    with pytest.raises(DomainError, match="non-finite coordinate"):
+        horner(np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 0.0]]), point)
