@@ -9,9 +9,11 @@ Coefficients live in a dense cube ``c[i, j, k]`` with one axis per
 variable (one, two or three); cells above total degree ``order`` stay
 zero.  The truncated product, the kernel under ``Jet.substitute`` and
 every series solve, is one numpy reduction over a cached table of the cell
-pairs whose degrees sum to at most ``order`` (the index-table form of
+pairs whose degrees sum to at most a given degree (the index-table form of
 truncated Taylor arithmetic, Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).
+Derivatives*, ch. 13): ``order`` for ``Jet.__mul__``, and at Horner step j
+of ``Jet.substitute`` only ``order - j``, the degrees of the accumulator
+that can still reach the result.
 
 A jet may also carry a leading batch axis, ``c`` of shape ``(N, *cube)``:
 N jets about N base points, propagated together (vector-mode Taylor
@@ -54,14 +56,15 @@ def _degree_mask(shape, order):
 
 
 @lru_cache(maxsize=None)
-def _product_table(shape, order):
-    """Flat cell pairs ``(p, q)`` with deg p + deg q <= order and the cell
-    ``k`` of their product, ordered by p then q.  Order 8 in three
-    variables has 3003 pairs."""
+def _product_table(shape, degree):
+    """Flat cell pairs ``(p, q)`` with deg p + deg q <= degree and the cell
+    ``k`` of their product, ordered by p then q: a lower degree keeps a
+    subsequence of the pairs of a higher one.  Degree 8 in three variables
+    has 3003 pairs."""
     deg = _degrees(shape)
-    cells = np.flatnonzero(deg <= order)
+    cells = np.flatnonzero(deg <= degree)
     p, q = (x.ravel() for x in np.meshgrid(cells, cells, indexing="ij"))
-    keep = deg[p] + deg[q] <= order
+    keep = deg[p] + deg[q] <= degree
     p, q = p[keep], q[keep]
     k = np.ravel_multi_index(
         np.add(np.unravel_index(p, shape), np.unravel_index(q, shape)), shape
@@ -72,15 +75,28 @@ def _product_table(shape, order):
 
 
 @lru_cache(maxsize=2)  # only mesh --k-sign batches (jet_at at N points); ~0.4 kB/row at order 2
-def _batched_table(shape, order, n):
+def _batched_table(shape, degree, n):
     """``_product_table`` for n stacked cubes: row r's flat cells are
     offset by r * size, so the product stays one ``np.bincount`` and every
     cell still sums its pairs in the p-then-q order of the single table."""
     offsets = np.arange(n)[:, None] * math.prod(shape)
-    tables = tuple((t + offsets).ravel() for t in _product_table(shape, order))
+    tables = tuple((t + offsets).ravel() for t in _product_table(shape, degree))
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _truncated_product(a, b, nvars, degree):
+    """Product of two coefficient tables in ``nvars`` variables (either may
+    carry a batch axis), its cells of total degree <= ``degree`` only; the
+    cells above are exactly +0.0."""
+    if a.ndim == b.ndim == nvars:
+        p, q, k = _product_table(a.shape, degree)
+    else:
+        a, b = np.broadcast_arrays(a, b)
+        p, q, k = _batched_table(a.shape[1:], degree, a.shape[0])
+    prod = np.bincount(k, weights=a.take(p) * b.take(q), minlength=a.size)
+    return prod.reshape(a.shape)
 
 
 def _origin(c, nvars):
@@ -174,14 +190,8 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.nvars, self.order, self.c * float(other), _trusted=True)
         self._check_compatible(other)
-        a, b = self.c, other.c
-        if a.ndim == b.ndim == self.nvars:
-            p, q, k = _product_table(a.shape, self.order)
-        else:
-            a, b = np.broadcast_arrays(a, b)
-            p, q, k = _batched_table(a.shape[1:], self.order, a.shape[0])
-        prod = np.bincount(k, weights=a.take(p) * b.take(q), minlength=a.size)
-        return Jet(self.nvars, self.order, prod.reshape(a.shape), _trusted=True)
+        prod = _truncated_product(self.c, other.c, self.nvars, self.order)
+        return Jet(self.nvars, self.order, prod, _trusted=True)
 
     def __rmul__(self, other):
         return self * other
@@ -213,23 +223,35 @@ class Jet:
         Horner over the slabs F_j along ``var``, F(..., W, ...) = sum_j F_j W^j,
         where all-zero leading slabs cost no product.  W must be unbatched,
         share this arity and order and have zero constant term (otherwise
-        truncation would not commute with substitution)."""
+        truncation would not commute with substitution).
+
+        Since W(0) = 0, the accumulator of slabs j .. order is multiplied by
+        W j more times, so only its degrees <= order - j can reach the
+        result: the product of Horner step j keeps just those (Brent & Kung,
+        J. ACM 25, 1978).  The result is bit-identical to Horner with full
+        products: each kept cell sums the same pairs in the same order, every
+        slab F_j lies at degree <= order - j, and a dropped term only ever
+        meets W(0) = +-0 or falls above the order; ``np.bincount`` sums from
+        +0.0, so adding such a zero changes no cell, not even its sign."""
         self._check_compatible(W)
         if not 0 <= var < self.nvars or W.c.ndim != W.nvars or W.c[(0,) * W.nvars]:
             raise UsageError(
                 f"substitute needs 0 <= var < {self.nvars} and an unbatched jet "
                 "with zero constant term"
             )
+        free = (slice(None),) * var + (0,)
         acc = None
         for j in range(self.order, -1, -1):
-            cut = (slice(None),) * var + (j,)
-            if acc is None and not self.c[cut].any():
-                continue
-            slab = np.zeros_like(self.c)
-            slab[cut[:-1] + (0,)] = self.c[cut]
-            slab = Jet(self.nvars, self.order, slab, _trusted=True)
-            acc = slab if acc is None else acc * W + slab
-        return acc if acc is not None else Jet.zeros(self.nvars, self.order)
+            slab = self.c[(slice(None),) * var + (j,)]
+            if acc is not None:
+                acc = _truncated_product(acc, W.c, self.nvars, self.order - j)
+                acc[free] += slab
+            elif slab.any():
+                acc = np.zeros_like(self.c)
+                acc[free] = slab
+        if acc is None:
+            return Jet.zeros(self.nvars, self.order)
+        return Jet(self.nvars, self.order, acc, _trusted=True)
 
     def subs(self, var, value):
         """Substitute a numeric value for one variable; arity drops by one."""
@@ -304,9 +326,11 @@ def horner(c, point):
     A coordinate may be a 1-d numpy array of N values (all array
     coordinates of one call share N); the result then gains a leading axis
     of length N, one entry per point, and each entry is computed with the
-    same operations as at that point alone.  The last axis is evaluated
-    first, so scalar trailing coordinates (the shared s of a probe) are
-    evaluated once, before the table is spread over the points.
+    same operations as at that point alone.  An axis of one cell never
+    meets its coordinate, so there the table is repeated over the N points
+    by hand.  The last axis is evaluated first, so scalar trailing
+    coordinates (the shared s of a probe) are evaluated once, before the
+    table is spread over the points.
 
     Only the live box of the table is evaluated: each trailing axis is cut
     after its last index that holds a nonzero cell in any polynomial of the
@@ -328,6 +352,8 @@ def horner(c, point):
     for x in reversed(point):
         if isinstance(x, np.ndarray) and x.ndim:
             x = np.reshape(x, (-1,) + (1,) * (c.ndim - 1 - batched))
+            if not batched and c.shape[-1] == 1:  # x would never meet the table
+                c = np.repeat(c[np.newaxis], len(x), axis=0)
             batched = 1
         acc = c[..., -1]
         for i in range(c.shape[-1] - 2, -1, -1):

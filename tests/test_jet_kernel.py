@@ -1,9 +1,11 @@
-"""The truncated jet product against a brute-force dense Cauchy product."""
+"""The truncated jet product against a brute-force dense Cauchy product, at
+the jet order and below it."""
 
 import numpy as np
 import pytest
 
 from conftest import random_jet
+from crosscap.jets import _truncated_product
 
 
 def _oracle_product(a, b, order):
@@ -39,3 +41,23 @@ def test_truncation_degree_respected(rng):
     for idx in np.ndindex(*prod.c.shape):
         if sum(idx) > 8:
             assert prod.c[idx] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9), (9,), (3, 3, 3)], ids=str)
+def test_product_below_the_order_matches_oracle(shape, rng):
+    """The kernel at a degree below the order: cells up to that degree are
+    the oracle's, the cells above it are exactly +0.0, and a batch row gets
+    the bits of the same product alone."""
+    nvars, order = len(shape), shape[0] - 1
+    a = random_jet(rng, nvars, order).c
+    b = random_jet(rng, nvars, order).c
+    for degree in range(order):
+        above = np.indices(shape).sum(axis=0) > degree
+        expected = _oracle_product(a, b, degree)
+        got = _truncated_product(a, b, nvars, degree)
+        assert got.shape == shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * (1 + np.max(np.abs(expected)))
+        assert not got[above].any() and not np.signbit(got[above]).any()
+        batch = _truncated_product(np.stack([a, b]), b, nvars, degree)
+        assert batch[0].tobytes() == got.tobytes()
+        assert batch[1].tobytes() == _truncated_product(b, b, nvars, degree).tobytes()
