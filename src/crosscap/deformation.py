@@ -6,10 +6,10 @@ law, and extract the Frenet data of the singular-point trajectory.
 
 Throughout, s = -st^2 with st >= 0, u(st) = ``NormalFormData.branch`` is
 the positive branch of the singular locus and (u(st), u(-st)) the pair at
-st (``_pair_at``).  Data at a source point (u, v, s) comes from
-``NormalFormData.derivatives``, along (u(st), 0, -st^2) from ``_on_branch``.
-``trace`` and ``trajectory_geometry`` take the germ and share its one
-normal form per order (``normal_form.normalized``).
+st (``_pair_at``, a whole grid at once).  Data at source points (u, v, s)
+comes from ``NormalFormData.derivatives``, along (u(st), 0, -st^2) from
+``_on_branch``.  ``trace`` and ``trajectory_geometry`` take the germ and
+share its one normal form per order (``normal_form.normalized``).
 
 A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
 u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DegeneracyError, DomainError, UsageError
-from .errors import float_contract
+from .errors import ConsistencyError, CrosscapError, DegeneracyError, DomainError
+from .errors import UsageError, float_contract
 from .germs import MapGerm
 from .invariants import (
     SecondOrderFrame,
@@ -35,7 +35,7 @@ from .invariants import (
     frame_at,
     invariants_from_frame,
 )
-from .jets import Jet, jet_recip, jet_sqrt
+from .jets import Jet, horner, jet_recip, jet_sqrt
 from .normal_form import (
     CLASS_TOL,
     CoefficientSet,
@@ -119,46 +119,56 @@ def _on_branch(nf: NormalFormData, tables) -> list:
     return [Jet(1, order, j.substitute(0, u_t).c[0], _trusted=True) for j in on]
 
 
-def _slice(nf: NormalFormData, s: float) -> np.ndarray:
-    """f33(u, s) as coefficients in u; a non-finite s is a DomainError."""
-    if not math.isfinite(s):
-        raise DomainError(f"non-finite parameter value s = {s}")
-    return nf.f33.subs(1, s).c
+def _slice(nf: NormalFormData, s) -> np.ndarray:
+    """f33(u, s) as coefficients in u up to f33's last u^k, at one s or at
+    each of an array; a non-finite s is a DomainError, the first one named."""
+    bad = np.ravel(s)[~np.isfinite(s).ravel()]
+    if bad.size:
+        raise DomainError(f"non-finite parameter value s = {bad[0]}")
+    return horner(nf._f33_table, (s,))
+
+
+def _polyval(x, c):
+    """``np.polynomial.polynomial.polyval``'s operations, without its call
+    overhead, on a sequence c of coefficients broadcast against x."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
 
 
 def _newton(poly, x):
-    """Four Newton steps from x on ``poly`` (lowest degree first); stops at slope 0."""
-    polyval, deriv = np.polynomial.polynomial.polyval, poly[1:] * np.arange(1, len(poly))
+    """Four Newton steps from x on ``poly`` (as in ``_polyval``); an entry at
+    slope 0 keeps its x, and a step that changes no bit of x ends the loop."""
+    slope = [k * ck for k, ck in enumerate(poly[1:], 1)]
     for _ in range(4):
-        dfx = polyval(x, deriv)
-        if dfx == 0.0:
+        dfx = _polyval(x, slope)
+        step = x - np.divide(_polyval(x, poly), dfx, np.zeros_like(dfx), where=dfx != 0.0)
+        if step.tobytes() == x.tobytes():
             break
-        x -= polyval(x, poly) / dfx
+        x = step
     return x
 
 
-def _pair_at(nf: NormalFormData, st: float):
-    """The cross-caps (u_plus, u_minus) at s = -st^2 for c2(0) > 0: f33(u, -t^2)
-    is even in t, so Newton on the slice p starts at the branch series at +-st.
-    A point u is kept when |p(u)| <= LOCUS_RESIDUAL_TOL * sum_k |p_k| |u|^k,
-    relative to the size of the terms summed there (past the series' reach
-    Newton may overflow; a non-finite size fails).  None when st^2 = 0, when a
-    point fails that test, or unless u_minus < u_plus."""
-    s = -st * st
-    poly = _slice(nf, s)
-    if s == 0.0:
-        return None
-    polyval = np.polynomial.polynomial.polyval
-    starts = [t * polyval(t, nf.branch) for t in (st, -st)]
-
-    def is_root(u):
-        size = polyval(abs(u), np.abs(poly))
-        return math.isfinite(size) and abs(polyval(u, poly)) <= LOCUS_RESIDUAL_TOL * size
-
+def _pair_at(nf: NormalFormData, grid) -> list:
+    """The cross-caps (u_plus, u_minus) at s = -st^2 for each st of ``grid``,
+    for c2(0) > 0: f33(u, -t^2) is even in t, so Newton on the slice p starts
+    at the branch series at +-st.  A point u is kept when
+    |p(u)| <= LOCUS_RESIDUAL_TOL * sum_k |p_k| |u|^k, relative to the size
+    of the terms summed there (past the series' reach Newton may overflow; a
+    non-finite size fails).  An entry is None when st^2 = 0, when a point
+    fails that test, or unless u_minus < u_plus.  All starts run at once."""
+    s = np.array([-st * st for st in grid], float)
+    poly = _slice(nf, s)  # N x coefficients
+    cols = list(np.repeat(poly.T[..., None], 2, axis=-1))  # N x 2 each: one per start
+    t = np.asarray(grid, float)[:, None] * [1.0, -1.0]
+    starts = t * _polyval(t, nf.branch)
     with np.errstate(all="ignore"):
-        pair = [_newton(poly, u) for u in starts]
-        found = all(is_root(u) for u in pair) and pair[1] < pair[0]
-    return (float(pair[0]), float(pair[1])) if found else None
+        pair = _newton(cols, starts)
+        size = _polyval(abs(pair), [abs(ck) for ck in cols])
+        ok = np.isfinite(size) & (abs(_polyval(pair, cols)) <= LOCUS_RESIDUAL_TOL * size)
+    found = ok[:, 0] & ok[:, 1] & (pair[:, 1] < pair[:, 0]) & (s != 0.0)
+    return [tuple(p) if f else None for p, f in zip(pair.tolist(), found)]
 
 
 # -- locus expansion ---------------------------------------------------------------
@@ -242,30 +252,40 @@ def trace(f: MapGerm, s_tilde_grid: Sequence[float] = DEFAULT_GRID, order: int =
     positive-branch invariants and focal conic, built from the frame at
     u_plus only.  Each row holds the pair ``_pair_at`` reads off the branch
     series; an st without a pair gets no row, and c2(0) < 0 gives no rows
-    at all.  The normal form is ``normalized(f, order)``, stored on ``f``, so
+    at all.  If the batched pass fails, the first st failing on its own
+    raises.  The normal form is ``normalized(f, order)``, stored on ``f``, so
     a later ``trajectory_geometry(f, order)`` does not reduce ``f`` again.
     """
     nf = normalized(f, order)
     cs = scalar_coefficients(nf)
     if _pair_alpha1(nf) is None:
         return TraceTable((), nf), nf, cs
-    rows = []
-    for st in s_tilde_grid:
-        if (pair := _pair_at(nf, st)) is None:
-            continue
-        u_plus, u_minus = pair
-        frame = frame_at(nf.derivatives((u_plus, 0.0, -st * st)))
-        kind = focal_conic_from_frame(frame).kind
-        if not frame.cross_cap:
-            raise DegeneracyError(
-                f"trace: the point (u, 0) = ({u_plus:.6g}, 0) at st = {st:.6g} "
-                "is not a cross-cap"
-            )
-        inv = invariants_from_frame(frame)[1]
-        rows.append(
-            TraceRow(st, u_plus, u_minus, inv.a20, inv.a11, inv.a02, inv.ku_ext, inv.ka, kind)
+    try:
+        rows = _trace_rows(nf, s_tilde_grid)
+    except (CrosscapError, ArithmeticError):
+        for st in s_tilde_grid:
+            _trace_rows(nf, [st])
+        raise
+    return TraceTable(rows, nf), nf, cs
+
+
+def _trace_rows(nf: NormalFormData, grid) -> tuple:
+    """The rows of ``trace`` at the st of ``grid`` with a pair, in one batch."""
+    kept = [(st, *pair) for st, pair in zip(grid, _pair_at(nf, grid)) if pair]
+    if not kept:
+        return ()
+    st, u_plus, _ = (np.array(column) for column in zip(*kept))
+    frame = frame_at(nf.derivatives((u_plus, 0.0, -st * st)))
+    kinds = focal_conic_from_frame(frame).kind
+    if not frame.cross_cap.all():
+        i = np.argmin(frame.cross_cap)
+        raise DegeneracyError(
+            f"trace: the point (u, 0) = ({u_plus[i]:.6g}, 0) at st = {st[i]:.6g} "
+            "is not a cross-cap"
         )
-    return TraceTable(tuple(rows), nf), nf, cs
+    inv = invariants_from_frame(frame)[1]
+    values = zip(inv.a20, inv.a11, inv.a02, inv.ku_ext, inv.ka)
+    return tuple(TraceRow(*row, *v, kind) for row, v, kind in zip(kept, values, kinds))
 
 
 # -- blow-up limits ----------------------------------------------------------------------
@@ -421,7 +441,7 @@ def _theta_trig(thetas):
 def _probe_once(nf, cs, st, thetas, k_fracs, trig):
     """Sign agreement on the theta x k grid at one st and the pair's u_plus
     there (0 and None without a pair); the samples share s = -st^2, one batch."""
-    if (pair := _pair_at(nf, st)) is None:
+    if (pair := _pair_at(nf, [st])[0]) is None:
         return 0.0, (), None
     s, u_st = -st * st, pair[0]
     sin_t, cos_t, sin2_t = trig

@@ -599,10 +599,9 @@ class PointDerivatives:
     if any, is held fixed.  At N points the arrays carry a leading batch
     axis, shapes (N, 3, 2) and (N, 3, 2, 2).  This is the one source of
     pointwise derivative data: rank, kernel, the second-order frame and
-    everything built on it are read from here (``rank`` and
-    ``null_vector`` at one point); ``MapGerm.derivatives`` and
-    ``NormalFormData.derivatives`` build it.  Non-finite entries raise
-    DomainError.
+    everything built on it are read from here, at one point or at N;
+    ``MapGerm.derivatives`` and ``NormalFormData.derivatives`` build it.
+    Non-finite entries raise DomainError.
     """
 
     grad: np.ndarray  # 3 x 2, or N x 3 x 2
@@ -624,23 +623,21 @@ class PointDerivatives:
         hess = low[..., [[2, 1], [1, 0]], [[0, 1], [1, 2]]] * [[2.0, 1.0], [1.0, 2.0]]
         return cls(grad, hess)
 
-    def rank(self) -> int:
+    def rank(self):
+        """The rank of df: an int, or at N points a list of N ints."""
         sv = np.linalg.svd(self.grad, compute_uv=False)
-        return int(np.sum(sv > RANK_TOL * sv[0]))
+        return (sv > RANK_TOL * sv[..., :1]).sum(axis=-1).tolist()
 
     def null_vector(self) -> np.ndarray:
-        """Unit generator of Ker df at a rank-1 point; the first entry larger
-        than the rank tolerance is made positive."""
-        rank = self.rank()
-        if rank != 1:
-            raise DomainError(f"null_vector needs a rank-1 point, got rank {rank}")
-        n = np.linalg.svd(self.grad)[2][-1]
-        for entry in n:
-            if abs(entry) > RANK_TOL:
-                if entry < 0:
-                    n = -n
-                break
-        return n
+        """Unit generator of Ker df at a rank-1 point (at each of N points);
+        the first entry larger than the rank tolerance is made positive."""
+        rank = np.asarray(self.rank())
+        if (rank != 1).any():
+            raise DomainError(f"null_vector needs a rank-1 point, got rank {rank[rank != 1][0]}")
+        n = np.linalg.svd(self.grad)[2][..., -1, :]
+        # a unit 2-vector: when its first entry is not larger, the second is
+        lead = np.where(abs(n[..., 0]) > RANK_TOL, n[..., 0], n[..., 1])
+        return np.where((lead < 0.0)[..., None], -n, n)
 
 
 @float_contract

@@ -15,6 +15,11 @@ kind from det M = -D/(4A).
 The ``(f, point)`` functions expand the germ once at the point and read
 from that object; the ``*_from_frame`` functions serve callers that
 already hold the derivatives, such as points of a normal form.
+Derivatives at N points (a leading batch axis) pass through all of these
+at once, each field then holding N values, each row bit-identical to its
+point alone: dot products go through ``_dot``, and powers through ``_pow``,
+Python's ``**`` element by element (numpy's array ``power`` rounds some x
+differently from the scalar ``pow`` of one point).
 """
 
 from __future__ import annotations
@@ -32,6 +37,24 @@ from .germs import MapGerm, PointDerivatives
 WHITNEY_TOL = 1e-9
 CONIC_TOL = 1e-9
 PARALLEL_TOL = 1e-9
+
+
+def _dot(a, b):
+    """Row-wise a . b over a leading batch axis; matmul of 1 x 3 by 3 x 1
+    rounds as the unbatched ``a @ b`` does (a plain sum of a * b does not)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))  # rounds as np.linalg.norm of one vector
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _pow(x, e):
+    return float(x) ** e if np.ndim(x) == 0 else np.array([v**e for v in x.tolist()])
 
 
 # -- the derivative frame ------------------------------------------------------
@@ -66,20 +89,20 @@ class SecondOrderFrame:
     cross_cap: bool
 
     def triple(self, a, b, c):
-        return float(np.linalg.det(np.column_stack([a, b, c])))
+        return np.linalg.det(np.stack([a, b, c], axis=-1))
 
     @cached_property
     @float_contract
     def scalars(self) -> FundamentalScalars:
         """The fundamental scalars but E, computed on first use."""
         f_u, f_uu, f_uv, f_vv = self.f_u, self.f_uu, self.f_uv, self.f_vv
-        A = float(f_u @ f_u)
+        A = _dot(f_u, f_u)
         cross = np.cross(f_u, f_vv)
-        B = float(cross @ cross)
+        B = _dot(cross, cross)
         C = self.C
         d_uuv = self.triple(f_u, f_uu, f_vv)
         d_uvu = self.triple(f_u, f_uv, f_uu)
-        D = d_uuv**2 + 4.0 * C * d_uvu
+        D = _pow(d_uuv, 2) + 4.0 * C * d_uvu
         return FundamentalScalars(A, B, C, D, None)
 
 
@@ -88,18 +111,17 @@ def frame_at(d: PointDerivatives) -> SecondOrderFrame:
     and decide the cross-cap test: C > WHITNEY_TOL |f_u| |f_vv| |f_uv|.
     C stays a numpy scalar, so a product with it that overflows raises."""
     n = d.null_vector()
-    t = np.array([n[1], -n[0]])
-    f_u = d.grad @ t
-    f_uu = np.einsum("cij,i,j->c", d.hess, t, t)
-    f_uv = np.einsum("cij,i,j->c", d.hess, t, n)
-    f_vv = np.einsum("cij,i,j->c", d.hess, n, n)
-    C = np.linalg.det(np.column_stack([f_u, f_uv, f_vv]))
-    if C < 0.0:
-        f_uv = -f_uv
-        C = -C
-    scale = np.linalg.norm(f_u) * np.linalg.norm(f_vv) * np.linalg.norm(f_uv)
-    cross_cap = bool(C > WHITNEY_TOL * scale)
-    return SecondOrderFrame(f_u, f_uu, f_uv, f_vv, C, cross_cap)
+    t = np.stack([n[..., 1], -n[..., 0]], axis=-1)
+    f_u = (d.grad @ t[..., None])[..., 0]
+    f_uu, f_uv, f_vv = (
+        np.einsum("...cij,...i,...j->...c", d.hess, a, b) for a, b in ((t, t), (t, n), (n, n))
+    )
+    C = np.linalg.det(np.stack([f_u, f_uv, f_vv], axis=-1))
+    flip = C < 0.0
+    f_uv = np.where(flip[..., None], -f_uv, f_uv)
+    C = np.where(flip, -C, C)[()]
+    cc = C > WHITNEY_TOL * (_norm(f_u) * _norm(f_vv) * _norm(f_uv))
+    return SecondOrderFrame(f_u, f_uu, f_uv, f_vv, C, cc if np.ndim(cc) else bool(cc))
 
 
 def _plain_frame(f: MapGerm, point) -> SecondOrderFrame:
@@ -119,21 +141,20 @@ def normal_plane_basis(f_u) -> np.ndarray:
     reproducible.
     """
     w = np.asarray(f_u, float)
-    w = w / np.linalg.norm(w)
-    basis = []
-    for cand in (np.eye(3)[1], np.eye(3)[2], np.eye(3)[0]):
-        res = cand - (cand @ w) * w
-        for b in basis:
-            res = res - (res @ b) * b
-        norm = np.linalg.norm(res)
-        if norm > 1e-12:
-            basis.append(res / norm)
-        if len(basis) == 2:
-            break
-    b1, b2 = basis
-    if b1[np.argmax(np.abs(b1))] < 0.0:
-        b1 = -b1
-    return np.column_stack([b1, b2])
+    w = w / _norm(w)[..., None]
+    b1 = b2 = np.zeros_like(w)
+    found = np.zeros(w.shape[:-1], int)  # basis vectors per point so far
+    for cand in np.eye(3)[[1, 2, 0]]:
+        res = cand - _dot(cand, w)[..., None] * w
+        res = np.where((found == 1)[..., None], res - _dot(res, b1)[..., None] * b1, res)
+        norm = _norm(res)
+        take = (found < 2) & (norm > 1e-12)
+        unit = res / np.where(take, norm, 1.0)[..., None]
+        b1 = np.where((take & (found == 0))[..., None], unit, b1)
+        b2 = np.where((take & (found == 1))[..., None], unit, b2)
+        found = found + take
+    lead = np.take_along_axis(b1, np.argmax(np.abs(b1), axis=-1)[..., None], axis=-1)
+    return np.stack([np.where(lead < 0.0, -b1, b1), b2], axis=-1)
 
 
 # -- Whitney-umbrella test and invariants -----------------------------------------
@@ -163,28 +184,21 @@ def invariants_from_frame(frame: SecondOrderFrame):
     """The three second-order invariants at a cross-cap point.
 
     Returns (FundamentalScalars, UmbrellaInvariants); requires the
-    Whitney-umbrella test to pass at the point.
+    Whitney-umbrella test to pass at the point (at every point of a batch).
     """
-    if not frame.cross_cap:
+    if not np.all(frame.cross_cap):
         raise DomainError("the point is not a cross-cap")
     fs = frame.scalars
     f_u, f_uv, f_vv = frame.f_u, frame.f_uv, frame.f_vv
-    gram = (f_u @ f_u) * (f_vv @ f_uv) - (f_u @ f_uv) * (f_vv @ f_u)
-    # B as a numpy float, so that an overflowing product raises
-    E = 2.0 * fs.C * gram - np.float64(fs.B) * frame.triple(f_u, frame.f_uu, f_vv)
+    gram = _dot(f_u, f_u) * _dot(f_vv, f_uv) - _dot(f_u, f_uv) * _dot(f_vv, f_u)
+    E = 2.0 * fs.C * gram - fs.B * frame.triple(f_u, frame.f_uu, f_vv)
     fs = replace(fs, E_inv=E)
-    A, B, C, D = fs.A, fs.B, fs.C, fs.D
-    a20 = 0.25 * A ** (-1.5) * math.sqrt(B) / C**2 * D
-    a11 = 0.5 / math.sqrt(A) / C**2 * E
-    a02 = math.sqrt(A) * B**1.5 / C**2
-    inv = UmbrellaInvariants(
-        a20=a20,
-        a11=a11,
-        a02=a02,
-        ku_ext=2.0 * abs(a11 / a02),
-        ka=abs((a20 * a02 - a11**2) / a02),
-    )
-    return fs, inv
+    A, B, C2, D = fs.A, fs.B, _pow(fs.C, 2), fs.D
+    a20 = 0.25 * _pow(A, -1.5) * np.sqrt(B) / C2 * D
+    a11 = 0.5 / np.sqrt(A) / C2 * E
+    a02 = np.sqrt(A) * _pow(B, 1.5) / C2
+    ka = abs((a20 * a02 - _pow(a11, 2)) / a02)
+    return fs, UmbrellaInvariants(a20, a11, a02, 2.0 * abs(a11 / a02), ka)
 
 
 # -- curvature parabola ------------------------------------------------------------
@@ -262,10 +276,10 @@ def focal_conic(f: MapGerm, point) -> FocalConic:
     return focal_conic_from_frame(_plain_frame(f, point))
 
 
-_CONIC_KINDS = {  # by cross-cap, then by det M: ~0, < 0, > 0
-    True: ("parabola", "hyperbola", "ellipse"),
-    False: ("double-or-single-line", "two-lines", "degenerate-other"),
-}
+_CONIC_KINDS = np.array([  # by cross-cap (no, yes), then by det M: ~0, < 0, > 0
+    ("double-or-single-line", "two-lines", "degenerate-other"),
+    ("parabola", "hyperbola", "ellipse"),
+])
 
 
 def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
@@ -277,26 +291,27 @@ def focal_conic_from_frame(frame: SecondOrderFrame) -> FocalConic:
     frame's flag decides it), and det M = -D / (4A); the kind is read from
     det M, which is checked against that identity.  As c = 0 the conic
     passes through w = 0, so a non-degenerate conic with det M > 0 is a
-    real ellipse.
+    real ellipse.  At N points the first point failing the check raises,
+    and ``kind`` is a list.
     """
     basis = normal_plane_basis(frame.f_u)
     fs = frame.scalars
-    p_uu = basis.T @ frame.f_uu
-    p_uv = basis.T @ frame.f_uv
-    p_vv = basis.T @ frame.f_vv
+    b_T = np.swapaxes(basis, -1, -2)
+    p_uu, p_uv, p_vv = ((b_T @ v[..., None])[..., 0] for v in (frame.f_uu, frame.f_uv, frame.f_vv))
     # det Hess D^x = (w.f_uu - A)(w.f_vv) - (w.f_uv)^2, as a form in w
-    M = 0.5 * (np.outer(p_uu, p_vv) + np.outer(p_vv, p_uu)) - np.outer(p_uv, p_uv)
-    b = -fs.A * p_vv
-    dM = float(np.linalg.det(M))
-    tol = CONIC_TOL * (float(np.sum(M * M)) + 0.5 * float(b @ b))
-    gap = abs(dM + fs.D / (4.0 * fs.A))
-    if gap > tol:
+    M = 0.5 * (_outer(p_uu, p_vv) + _outer(p_vv, p_uu)) - _outer(p_uv, p_uv)
+    b = -np.expand_dims(fs.A, -1) * p_vv
+    dM = np.linalg.det(M)
+    tol = CONIC_TOL * (np.sum(M * M, axis=(-2, -1)) + 0.5 * _dot(b, b))
+    target = -fs.D / (4.0 * fs.A)
+    if (bad := np.flatnonzero(abs(dM - target) > tol)).size:
+        i = bad[0]
         raise ConsistencyError(
-            f"focal conic det M = {dM:.6e} contradicts -D/(4A) = "
-            f"{-fs.D / (4.0 * fs.A):.6e}"
+            f"focal conic det M = {np.ravel(dM)[i]:.6e} contradicts -D/(4A) = "
+            f"{np.ravel(target)[i]:.6e}"
         )
-    sign = 0 if abs(dM) <= tol else (1 if dM < 0.0 else 2)
-    kind = _CONIC_KINDS[frame.cross_cap][sign]
+    sign = np.where(abs(dM) <= tol, 0, np.where(dM < 0.0, 1, 2))
+    kind = _CONIC_KINDS[np.asarray(frame.cross_cap, int), sign].tolist()
     return FocalConic(M, b, 0.0, kind, basis)
 
 
@@ -319,12 +334,6 @@ class FormBundle:
 @float_contract
 def form_bundle(f: MapGerm, point) -> FormBundle:
     return form_bundle_from(f.derivatives(point))
-
-
-def _dot(a, b):
-    """Row-wise a . b over a leading batch axis; matmul of 1 x 3 by 3 x 1
-    rounds as the unbatched ``a @ b`` does (a plain sum of a * b does not)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def form_bundle_from(d: PointDerivatives) -> FormBundle:

@@ -20,9 +20,9 @@ N jets about N base points, propagated together (vector-mode Taylor
 arithmetic, ibid.).  The ring operations, ``jet_recip`` and ``jet_sqrt``
 accept batched jets and mix them with unbatched ones; each row gets
 exactly the floating-point operations, in the same order, that the row
-would get on its own.  The calculus methods read one cube and need
-unbatched jets.  ``horner`` likewise evaluates at arrays of
-points.
+would get on its own.  So does ``Jet.substitute`` on a batched F, with an
+unbatched W; the other calculus methods read one cube and need unbatched
+jets.  ``horner`` likewise evaluates at arrays of points.
 """
 
 from __future__ import annotations
@@ -232,17 +232,23 @@ class Jet:
         products: each kept cell sums the same pairs in the same order, every
         slab F_j lies at degree <= order - j, and a dropped term only ever
         meets W(0) = +-0 or falls above the order; ``np.bincount`` sums from
-        +0.0, so adding such a zero changes no cell, not even its sign."""
+        +0.0, so adding such a zero changes no cell, not even its sign.
+
+        A batched F substitutes every row at once, each row bit-identical to
+        the row on its own.  The batch starts at the first slab live in any
+        row, so a row that starts later, at F_j, first has +0.0 + F_j in place
+        of a copy of F_j; only at j = 0 does no later product make that sign
+        of zero irrelevant, so the rows free of ``var`` are set as alone."""
         self._check_compatible(W)
         if not 0 <= var < self.nvars or W.c.ndim != W.nvars or W.c[(0,) * W.nvars]:
             raise UsageError(
                 f"substitute needs 0 <= var < {self.nvars} and an unbatched jet "
                 "with zero constant term"
             )
-        free = (slice(None),) * var + (0,)
+        free = (slice(None),) * (self.c.ndim - self.nvars + var) + (0,)  # after the batch axis
         acc = None
         for j in range(self.order, -1, -1):
-            slab = self.c[(slice(None),) * var + (j,)]
+            slab = self.c[free[:-1] + (j,)]
             if acc is not None:
                 acc = _truncated_product(acc, W.c, self.nvars, self.order - j)
                 acc[free] += slab
@@ -250,7 +256,13 @@ class Jet:
                 acc = np.zeros_like(self.c)
                 acc[free] = slab
         if acc is None:
-            return Jet.zeros(self.nvars, self.order)
+            return Jet(self.nvars, self.order, np.zeros_like(self.c), _trusted=True)
+        if acc.ndim > self.nvars:  # rows free of var: F_0, or +0.0 if it is zero
+            by_var = np.moveaxis(self.c, var + 1, 1).reshape(len(acc), self.order + 1, -1)
+            var_free = ~by_var[:, 1:].any(axis=(1, 2))
+            acc[var_free] = 0.0
+            own = (var_free & by_var[:, 0].any(axis=1),) + free[1:]
+            acc[own] = self.c[own]
         return Jet(self.nvars, self.order, acc, _trusted=True)
 
     def subs(self, var, value):
@@ -375,10 +387,19 @@ def _series_solve(residual, W, slope):
     the order of contact of W with the solution by one.  A start that is
     right at the base point (order of contact >= 1) is therefore exact to
     the truncation order after ``order`` steps.
+
+    The loop stops early at an exact fixed point, a step whose update has
+    the bytes of W: the residual is a function of W alone, so every later
+    step would return those bytes again, and the result, its errors and its
+    signed zeros are those of all ``order`` steps.  Bytes, not ``==``, so
+    that a -0.0/+0.0 flip counts as a change.
     """
     slope = np.reshape(slope, np.shape(slope) + (1,) * W.nvars)
     for _ in range(W.order):
-        W = Jet(W.nvars, W.order, W.c - residual(W).c / slope, _trusted=True)
+        c = W.c - residual(W).c / slope
+        if c.tobytes() == W.c.tobytes():
+            break
+        W = Jet(W.nvars, W.order, c, _trusted=True)
     return W
 
 

@@ -99,6 +99,14 @@ class NormalFormData:
         return np.array(table)
 
     @cached_property
+    def _f33_table(self) -> np.ndarray:
+        """f33's table c[u, s] up to its last u row that is not all zero
+        (two rows at least), built on first use: the u^k coefficients of a
+        slice above that row vanish at every s."""
+        c = self.f33.c
+        return c[: max(np.flatnonzero(c.any(axis=1)).max(initial=0), 1) + 1]
+
+    @cached_property
     def branch(self) -> np.ndarray:
         """alpha_1, alpha_2, ... of the positive branch u(st) of
         f33(u, -st^2) = 0, built on first use; callers decide c2(0) > 0."""
@@ -112,9 +120,9 @@ class NormalFormData:
         """First and second derivatives in (u, v) of the normal form at the
         source point ``(u, v, s)``.
 
-        ``u`` and ``v`` may be 1-d arrays of N coordinates with one shared
-        scalar ``s``: one Horner pass then gives the derivatives at all N
-        points, batched along a leading axis; the s axis is evaluated once.
+        Coordinates may be 1-d arrays of N values (and the others scalars):
+        one Horner pass then gives the derivatives at all N points, batched
+        along a leading axis; a scalar ``s`` is evaluated once.
         """
         if len(point) != 3:
             raise UsageError(f"point arity {len(point)} != 3")

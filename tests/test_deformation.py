@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from crosscap import deformation
+from crosscap import deformation, invariants
 from crosscap.deformation import (
     TrajectoryReport,
     asymptotic_limits,
@@ -16,9 +16,14 @@ from crosscap.deformation import (
     trace,
     trajectory_geometry,
 )
-from crosscap.errors import DegeneracyError, DomainError, UsageError
+from crosscap.errors import ConsistencyError, DegeneracyError, DomainError, UsageError
 from crosscap.germs import MapGerm
-from crosscap.invariants import form_bundle, invariants_from_frame
+from crosscap.invariants import (
+    focal_conic_from_frame,
+    form_bundle,
+    frame_at,
+    invariants_from_frame,
+)
 from crosscap.jets import Jet
 from crosscap.normal_form import normalize_parameter, reduce, scalar_coefficients
 from crosscap.reports import trace_csv
@@ -203,25 +208,85 @@ def test_trace_keeps_the_small_st_cross_caps_of_a_small_c2():
 
 
 # SHA-256 of the trace.csv that the README trace command writes
+README_TRACE_GERM = "u; v^2; u^2 + v^3 + u^2*v + s*v"
 README_TRACE_CSV = "50f40bc3d81d45d2257d967333eba01a15524669654c263c5fc91a21ee9044db"
 
 
 def test_trace_builds_geometry_once_per_row(monkeypatch):
     """The invariants and the focal conic are built at the reported plus
-    point only, not at every locus root."""
-    calls = []
+    points only, not at every locus root, and in one batched pass: one call
+    each per ``trace``, on the frames of all 7 rows."""
+    frames = []
     for name in ("invariants_from_frame", "focal_conic_from_frame"):
         original = getattr(deformation, name)
 
         def counted(frame, original=original, name=name):
-            calls.append(name)
+            frames.append((name, frame.f_u.shape))
             return original(frame)
 
         monkeypatch.setattr(deformation, name, counted)
-    table, _, _ = trace(MapGerm.parse("u; v^2; u^2 + v^3 + u^2*v + s*v"), GRID)
+    table, _, _ = trace(MapGerm.parse(README_TRACE_GERM), GRID)
     assert len(table.rows) == 7
-    assert calls.count("invariants_from_frame") == calls.count("focal_conic_from_frame") == 7
+    assert sorted(frames) == [("focal_conic_from_frame", (7, 3)), ("invariants_from_frame", (7, 3))]
     assert hashlib.sha256(trace_csv(table).encode()).hexdigest() == README_TRACE_CSV
+
+
+def _bits(values):
+    return [v if isinstance(v, str) else np.float64(v).tobytes() for v in values]
+
+
+def test_trace_rows_equal_the_geometry_at_their_point_bit_for_bit():
+    """Each row of the batched pass equals ``frame_at`` of the derivatives at
+    its own plus point, then the focal conic and the invariants of that one
+    frame; its pair equals ``_pair_at`` at its st alone.  On the README trace
+    germ and 30 seeded germs of the criterion-03 recipe."""
+    rng = np.random.default_rng(31)
+    germs = [MapGerm.parse(README_TRACE_GERM)] + [seeded_germ(rng) for _ in range(30)]
+    for f in germs:
+        table, nf, _ = trace(f, GRID)
+        assert len(table.rows) == 7
+        for row in table.rows:
+            st = row.s_tilde
+            assert deformation._pair_at(nf, [st]) == [(row.u_plus, row.u_minus)]
+            frame = frame_at(nf.derivatives((row.u_plus, 0.0, -st * st)))
+            assert frame.cross_cap is True
+            kind = focal_conic_from_frame(frame).kind
+            inv = invariants_from_frame(frame)[1]
+            want = (inv.a20, inv.a11, inv.a02, inv.ku_ext, inv.ka, kind)
+            got = (row.a20, row.a11, row.a02, row.ku_ext, row.ka, row.conic_kind)
+            assert _bits(got) == _bits(want)
+
+
+def _error_of(call):
+    try:
+        call()
+    except (ConsistencyError, DomainError) as exc:
+        return exc
+    return None
+
+
+def test_trace_raises_the_error_of_the_first_failing_st(monkeypatch):
+    """A failing batch raises exactly what the first failing st of the grid,
+    in grid order, raises on a grid of its own.  Tightened tolerances make the
+    README germ's rows with st >= 0.0125 fail the cross-cap test and its rows
+    whose conic identity is off by a rounding error fail the conic check;
+    the per-point order (pair, derivatives, conic, cross-cap) decides within
+    a row, and an earlier row wins over a later one of another kind."""
+    f = MapGerm.parse(README_TRACE_GERM)
+    monkeypatch.setattr(invariants, "WHITNEY_TOL", 0.9999)
+    monkeypatch.setattr(invariants, "CONIC_TOL", 1e-17)
+    grid = [GRID[6], GRID[3], GRID[4], GRID[2], float("nan")]
+    alone = [_error_of(lambda st=st: trace(f, [st])) for st in grid]
+    assert [type(e) for e in alone] == [
+        type(None), DegeneracyError, ConsistencyError, ConsistencyError, DomainError
+    ]
+    assert "at st = 0.0125 is not a cross-cap" in str(alone[1])
+    for n in (4, 5):  # without and with the nan
+        for start in range(1, n):
+            order = list(range(start, n)) + list(range(start))
+            first = next(alone[i] for i in order if alone[i] is not None)
+            got = _error_of(lambda: trace(f, [grid[i] for i in order]))
+            assert (type(got), str(got)) == (type(first), str(first)), order
 
 
 def test_c2_zero_is_one_degeneracy_error():

@@ -239,6 +239,39 @@ def test_substitute_matches_full_order_horner_bit_for_bit(case):
     assert got.tobytes() == ref.tobytes()
 
 
+@st.composite
+def batched_substitutions(draw):
+    """A batch of N rows of F for one var and W, as ``substitutions`` draws
+    them, N = order + 1 among the sizes (the slab index once landed on the
+    batch axis there); each row has its own count of all-zero leading slabs,
+    so rows start the Horner pass at different slabs, and rows free of var,
+    all-zero rows and -0.0 cells occur."""
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    var = draw(st.integers(0, nvars - 1))
+    n = draw(st.sampled_from([1, 2, order + 1, order + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (order + 1,) * nvars
+    F = np.stack([_cells(rng, shape, draw(st.booleans())) for _ in range(n)])
+    for row in F:
+        lead = draw(st.integers(0, order + 1))
+        row[(slice(None),) * var + (slice(order + 1 - lead, None),)] = rng.choice([0.0, -0.0])
+    W = _cells(rng, shape, draw(st.booleans()))
+    W[(0,) * nvars] = draw(st.sampled_from([0.0, -0.0]))
+    return Jet(nvars, order, F, _trusted=True), var, Jet(nvars, order, W)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(case=batched_substitutions())
+def test_batched_substitute_rows_equal_each_row_alone(case):
+    """A batched F substitutes each row bit for bit as the row alone."""
+    F, var, W = case
+    got = F.substitute(var, W).c
+    assert got.shape == F.c.shape
+    for row, cells in zip(got, F.c):
+        alone = Jet(F.nvars, F.order, cells, _trusted=True).substitute(var, W).c
+        assert row.tobytes() == alone.tobytes()
+
+
 def test_substitute_truncates_each_horner_step(monkeypatch):
     """Work, not time: a dense order-8 substitution in three variables asks
     the product kernel for degrees 1 .. 8, 6,434 cell pairs, where a full
@@ -295,6 +328,69 @@ def test_recip_geometric_series(rng):
         assert rel_close(jet_recip(b) * b, Jet.constant(1.0, 2, 8))
     with pytest.raises(DomainError):
         jet_recip(Jet.variable(1, 2, 8))
+
+
+def _full_order_solve(residual, W, slope):
+    """The series iteration run all ``order`` steps, without the exit at a
+    fixed point."""
+    slope = np.reshape(slope, np.shape(slope) + (1,) * W.nvars)
+    for _ in range(W.order):
+        W = Jet(W.nvars, W.order, W.c - residual(W).c / slope, _trusted=True)
+    return W
+
+
+def _series_cases(rng, density):
+    """Seeded inputs of every series solve, batched jets included; sparse
+    ones reach their fixed point before ``order`` steps."""
+    a3 = random_jet(rng, 3, 8, scale=0.4, density=density) + 1.5
+    cells = rng.uniform(-0.4, 0.4, (5, 7, 7)) * (rng.random((5, 7, 7)) < density)
+    cells[:, 0, 0] += 1.7
+    batch = Jet(2, 6, cells)
+    V = random_jet(rng, 3, 7, scale=0.3, density=density)
+    V.c[0, 0, 0], V.c[0, 1, 0] = 0.0, 1.0
+    lam = random_jet(rng, 3, 8, scale=0.3, density=density)
+    lam.c[0, 0, 0], lam.c[0, 1, 0] = 0.0, 1.5
+    F = random_jet(rng, 2, 8, scale=0.3, density=density)
+    F.c[0, 0] = F.c[1, 0] = F.c[0, 1] = F.c[1, 1] = 0.0
+    F.c[2, 0], F.c[0, 2] = 1.3, -0.8
+    return [
+        lambda: jet_recip(a3), lambda: jet_sqrt(a3),
+        lambda: jet_recip(batch), lambda: jet_sqrt(batch),
+        lambda: invert_coordinate(V, 1), lambda: implicit_solve(lam),
+        lambda: branch_solve(F),
+    ]
+
+
+def test_series_solves_equal_the_full_order_loop_bit_for_bit(monkeypatch):
+    """The exit at an exact fixed point changes no bit of any series solve,
+    on dense and sparse seeded inputs, and saves steps on the sparse ones;
+    a polynomial solution ends the loop right after its start."""
+    rng = np.random.default_rng(17)
+    cases = [case for density in (1.0, 0.1, 0.05) for case in _series_cases(rng, density)]
+    steps = []
+    real = jets._series_solve
+
+    def counted(residual, W, slope):
+        record = [W.order, 0]  # steps allowed, residual calls made
+        steps.append(record)
+
+        def step(x):
+            record[1] += 1
+            return residual(x)
+
+        return real(step, W, slope)
+
+    monkeypatch.setattr(jets, "_series_solve", counted)
+    early = [np.asarray(getattr(r, "c", r)) for r in (case() for case in cases)]
+    assert sum(taken < order for order, taken in steps) >= 5
+    steps.clear()
+    sigma = implicit_solve(lam_from({(0, 1, 0): 1.0, (2, 0, 0): -1.0}))  # v - u^2: sigma = u^2
+    assert np.array_equal(sigma.c, lam_from({(2, 0, 0): 1.0}).subs(1, 0.0).c)
+    assert steps == [[8, 2]]  # the start's step, then the fixed point
+    monkeypatch.setattr(jets, "_series_solve", _full_order_solve)
+    full = [np.asarray(getattr(r, "c", r)) for r in (case() for case in cases)]
+    for got, want in zip(early, full):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- implicit solve ----------------------------------------------------------------
