@@ -7,9 +7,9 @@ law, and extract the Frenet data of the singular-point trajectory.
 Throughout, s = -st^2 with st >= 0, u(st) = ``NormalFormData.branch`` is
 the positive branch of the singular locus and (u(st), u(-st)) the pair at
 st (``_pair_at``, a whole grid at once).  Data at source points (u, v, s)
-comes from ``NormalFormData.derivatives``, along (u(st), 0, -st^2) from
-``_on_branch``.  ``trace`` and ``trajectory_geometry`` take the germ and
-share its one normal form per order (``normal_form.normalized``).
+comes from ``NormalFormData.derivatives``, jets in st along (u(st), 0, -st^2)
+from ``NormalFormData.along_branch``.  ``trace`` and ``trajectory_geometry``
+take the germ and share its one normal form per order (``normalized``).
 
 A cross-cap pair is born at the S1 point for s < 0 exactly when c2(0), the
 u^2 coefficient of f33, is positive; ``_pair_alpha1`` decides this once and
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError, CrosscapError, DegeneracyError, DomainError
 from .errors import UsageError, float_contract
-from .germs import MapGerm
+from .germs import MapGerm, float_pow
 from .invariants import (
     SecondOrderFrame,
     focal_conic_from_frame,
@@ -76,7 +76,7 @@ def singular_locus(nf: NormalFormData, s: float):
     for u0 in sorted(x for x in polished if abs(x) <= 1.0):
         if records and abs(u0 - records[-1].point[0]) <= 1e-7:
             continue  # one root, found twice
-        residual = abs(float(np.polynomial.polynomial.polyval(u0, poly)))
+        residual = abs(float(_polyval(u0, poly)))
         if residual > LOCUS_RESIDUAL_TOL * (1.0 + float(scale)):
             raise ConsistencyError(
                 f"root u = {u0:.6g} of the singular locus leaves residual "
@@ -107,16 +107,6 @@ def _pair_alpha1(nf: NormalFormData, need: Optional[str] = None) -> Optional[flo
     if need:
         raise DegeneracyError(f"{need} needs c2(0) > 0")
     return None
-
-
-def _on_branch(nf: NormalFormData, tables) -> list:
-    """(u, s) coefficient tables, such as v = 0 slices, along the positive
-    branch u = u(st), s = -st^2 as jets in st; the caller decided c2(0) > 0."""
-    order = nf.order
-    t = Jet.variable(1, 2, order)
-    s_t, u_t = -(t * t), Jet(1, order, np.r_[0.0, nf.branch, 0.0]).embed(2, (1,))
-    on = [Jet(2, order, c, _trusted=True).substitute(1, s_t) for c in tables]
-    return [Jet(1, order, j.substitute(0, u_t).c[0], _trusted=True) for j in on]
 
 
 def _slice(nf: NormalFormData, s) -> np.ndarray:
@@ -315,9 +305,7 @@ def asymptotic_limits(table: TraceTable, cs: CoefficientSet) -> AsymptoticReport
     c2(0) < 0 is a DegeneracyError."""
     nf = table.nf
     _pair_alpha1(nf, "asymptotic limits")
-    # v = 0 slices of (d_u, d_v, d_uu, d_uv, d_vv) of y and z
-    part = nf._partials[1:, :, :, 0, :]
-    yu, yuu, zu, zuu, zuv, zvv = _on_branch(nf, part[[0, 0, 1, 1, 1, 1], [0, 2, 0, 2, 3, 4]])
+    yu, yuu, zu, zuu, zuv, zvv = nf.along_branch[:6]
     A = 1.0 + yu * yu + zu * zu
     cross = yu * zvv - 2.0 * zu  # f_u x f_vv = (cross, -zvv, 2)
     B = cross * cross + zvv * zvv + 4.0
@@ -433,9 +421,9 @@ def gauss_sign_probe(nf: NormalFormData, s_tilde: float) -> GaussProbeReport:
 def _theta_trig(thetas):
     """sin, cos and sin^2 of the probe angles, through libm and Python's
     float ``**`` (numpy's ``power`` rounds x^2 differently on some x)."""
-    sines = [math.sin(t) for t in thetas]
-    cosines = [math.cos(t) for t in thetas]
-    return np.array(sines), np.array(cosines), np.array([x**2 for x in sines])
+    sines = np.array([math.sin(t) for t in thetas])
+    cosines = np.array([math.cos(t) for t in thetas])
+    return sines, cosines, float_pow(sines, 2)
 
 
 def _probe_once(nf, cs, st, thetas, k_fracs, trig):
@@ -502,8 +490,7 @@ def trajectory_geometry(f: MapGerm, order: int = 8) -> TrajectoryReport:
     cs = scalar_coefficients(nf)
     _pair_alpha1(nf, "trajectory geometry")
 
-    # each component along u = u(st), v = 0, s = -st^2, as a jet in st
-    gamma = _on_branch(nf, [comp.c[:, 0, :] for comp in nf.components()])
+    gamma = nf.along_branch[6:]  # the components x, y, z
 
     g1 = np.array([g.c[1] for g in gamma])
     g2 = np.array([2.0 * g.c[2] for g in gamma])

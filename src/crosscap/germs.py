@@ -355,7 +355,7 @@ def eval_number(node, env):
         base = eval_number(node.base, env)
         if node.exponent < 0 and np.any(base == 0.0):
             raise DomainError("zero raised to a negative power")
-        return _float_pow(base, node.exponent)
+        return float_pow(base, node.exponent)
     if isinstance(node, Sqrt):
         arg = eval_number(node.arg, env)
         negative = np.less(arg, 0.0)
@@ -363,15 +363,15 @@ def eval_number(node, env):
             raise DomainError(
                 f"sqrt of a negative value {np.extract(negative, arg)[0]:.3e}"
             )
-        return _float_pow(arg, 0.5)
+        return float_pow(arg, 0.5)
     raise UsageError(f"cannot evaluate node {node!r}")
 
 
-def _float_pow(base, exponent):
-    """Python's float ``base ** exponent``, element by element on an array."""
-    if not isinstance(base, np.ndarray):
-        return base ** exponent
-    return np.array([_float_pow(b, exponent) for b in base.tolist()])
+def float_pow(x, e):
+    """Python's float ``x ** e``, element by element on an array: numpy's
+    array ``power`` rounds some x differently from the scalar ``pow`` of one
+    point."""
+    return float(x) ** e if np.ndim(x) == 0 else np.array([v**e for v in x.tolist()])
 
 
 def eval_jet(node, env, memo) -> Jet:

@@ -17,9 +17,9 @@ from that object; the ``*_from_frame`` functions serve callers that
 already hold the derivatives, such as points of a normal form.
 Derivatives at N points (a leading batch axis) pass through all of these
 at once, each field then holding N values, each row bit-identical to its
-point alone: dot products go through ``_dot``, and powers through ``_pow``,
-Python's ``**`` element by element (numpy's array ``power`` rounds some x
-differently from the scalar ``pow`` of one point).
+point alone: dot products go through ``_dot``, and powers through
+``germs.float_pow``, Python's ``**`` element by element (numpy's array
+``power`` rounds some x differently from the scalar ``pow`` of one point).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, float_contract
-from .germs import MapGerm, PointDerivatives
+from .germs import MapGerm, PointDerivatives, float_pow
 
 WHITNEY_TOL = 1e-9
 CONIC_TOL = 1e-9
@@ -51,10 +51,6 @@ def _norm(a):
 
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
-
-
-def _pow(x, e):
-    return float(x) ** e if np.ndim(x) == 0 else np.array([v**e for v in x.tolist()])
 
 
 # -- the derivative frame ------------------------------------------------------
@@ -102,7 +98,7 @@ class SecondOrderFrame:
         C = self.C
         d_uuv = self.triple(f_u, f_uu, f_vv)
         d_uvu = self.triple(f_u, f_uv, f_uu)
-        D = _pow(d_uuv, 2) + 4.0 * C * d_uvu
+        D = float_pow(d_uuv, 2) + 4.0 * C * d_uvu
         return FundamentalScalars(A, B, C, D, None)
 
 
@@ -193,11 +189,11 @@ def invariants_from_frame(frame: SecondOrderFrame):
     gram = _dot(f_u, f_u) * _dot(f_vv, f_uv) - _dot(f_u, f_uv) * _dot(f_vv, f_u)
     E = 2.0 * fs.C * gram - fs.B * frame.triple(f_u, frame.f_uu, f_vv)
     fs = replace(fs, E_inv=E)
-    A, B, C2, D = fs.A, fs.B, _pow(fs.C, 2), fs.D
-    a20 = 0.25 * _pow(A, -1.5) * np.sqrt(B) / C2 * D
+    A, B, C2, D = fs.A, fs.B, float_pow(fs.C, 2), fs.D
+    a20 = 0.25 * float_pow(A, -1.5) * np.sqrt(B) / C2 * D
     a11 = 0.5 / np.sqrt(A) / C2 * E
-    a02 = np.sqrt(A) * _pow(B, 1.5) / C2
-    ka = abs((a20 * a02 - _pow(a11, 2)) / a02)
+    a02 = np.sqrt(A) * float_pow(B, 1.5) / C2
+    ka = abs((a20 * a02 - float_pow(a11, 2)) / a02)
     return fs, UmbrellaInvariants(a20, a11, a02, 2.0 * abs(a11 / a02), ka)
 
 

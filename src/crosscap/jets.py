@@ -16,10 +16,11 @@ of ``Jet.substitute`` only ``order - j``, the degrees of the accumulator
 that can still reach the result.
 
 A jet may also carry a leading batch axis, ``c`` of shape ``(N, *cube)``:
-N jets about N base points, propagated together (vector-mode Taylor
-arithmetic, ibid.).  The ring operations, ``jet_recip`` and ``jet_sqrt``
-accept batched jets and mix them with unbatched ones; each row gets
-exactly the floating-point operations, in the same order, that the row
+N jets about N base points, or N tables substituted alike, propagated
+together (vector-mode Taylor arithmetic, ibid.), with the one table of cell
+pairs read along every row.  The ring operations, ``jet_recip`` and
+``jet_sqrt`` accept batched jets and mix them with unbatched ones; each row
+gets exactly the floating-point operations, in the same order, that the row
 would get on its own.  So does ``Jet.substitute`` on a batched F, with an
 unbatched W; the other calculus methods read one cube and need unbatched
 jets.  ``horner`` likewise evaluates at arrays of points.
@@ -74,29 +75,23 @@ def _product_table(shape, degree):
     return p, q, k
 
 
-@lru_cache(maxsize=2)  # only mesh --k-sign batches (jet_at at N points); ~0.4 kB/row at order 2
-def _batched_table(shape, degree, n):
-    """``_product_table`` for n stacked cubes: row r's flat cells are
-    offset by r * size, so the product stays one ``np.bincount`` and every
-    cell still sums its pairs in the p-then-q order of the single table."""
-    offsets = np.arange(n)[:, None] * math.prod(shape)
-    tables = tuple((t + offsets).ravel() for t in _product_table(shape, degree))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def _truncated_product(a, b, nvars, degree):
     """Product of two coefficient tables in ``nvars`` variables (either may
     carry a batch axis), its cells of total degree <= ``degree`` only; the
-    cells above are exactly +0.0."""
+    cells above are exactly +0.0.  A batch reads the one ``_product_table``
+    along each row of its (N, cells) view and offsets row r's product cells
+    by r * cells, so it stays one ``np.bincount`` and every cell sums its
+    pairs in the p-then-q order of the row alone."""
+    cube = a.shape[a.ndim - nvars :]
+    p, q, k = _product_table(cube, degree)
     if a.ndim == b.ndim == nvars:
-        p, q, k = _product_table(a.shape, degree)
-    else:
-        a, b = np.broadcast_arrays(a, b)
-        p, q, k = _batched_table(a.shape[1:], degree, a.shape[0])
-    prod = np.bincount(k, weights=a.take(p) * b.take(q), minlength=a.size)
-    return prod.reshape(a.shape)
+        prod = np.bincount(k, weights=a.take(p) * b.take(q), minlength=a.size)
+        return prod.reshape(cube)
+    cells = math.prod(cube)  # an unbatched operand is one row, broadcast
+    w = a.reshape(-1, cells)[:, p] * b.reshape(-1, cells)[:, q]
+    k = k + np.arange(0, len(w) * cells, cells)[:, None]
+    prod = np.bincount(k.ravel(), weights=w.ravel(), minlength=len(w) * cells)
+    return prod.reshape((len(w),) + cube)
 
 
 def _origin(c, nvars):
@@ -234,8 +229,9 @@ class Jet:
         meets W(0) = +-0 or falls above the order; ``np.bincount`` sums from
         +0.0, so adding such a zero changes no cell, not even its sign.
 
-        A batched F substitutes every row at once, each row bit-identical to
-        the row on its own.  The batch starts at the first slab live in any
+        A batched F (``NormalFormData.along_branch`` stacks nine tables)
+        substitutes every row at once, each row bit-identical to the row on
+        its own.  The batch starts at the first slab live in any
         row, so a row that starts later, at F_j, first has +0.0 + F_j in place
         of a copy of F_j; only at j = 0 does no later product make that sign
         of zero irrelevant, so the rows free of ``var`` are set as alone."""

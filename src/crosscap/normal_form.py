@@ -115,6 +115,22 @@ class NormalFormData:
         alphas.setflags(write=False)
         return alphas
 
+    @cached_property
+    def along_branch(self) -> tuple:
+        """Jets in st of y_u, y_uu, z_u, z_uu, z_uv, z_vv and of x, y, z along
+        the positive branch (u(st), 0, -st^2), built on first use: the v = 0
+        slices, stacked, take s = -st^2 and then u = u(st) in two batched
+        substitutions.  Callers decide c2(0) > 0."""
+        order = self.order
+        t = Jet.variable(1, 2, order)
+        u_t = Jet(1, order, np.r_[0.0, self.branch, 0.0]).embed(2, (1,))
+        partials = self._partials[1:, :, :, 0, :][[0, 0, 1, 1, 1, 1], [0, 2, 0, 2, 3, 4]]
+        slices = [j.c[:, 0, :] for j in self.components()]
+        on = Jet(2, order, np.concatenate([partials, slices]), _trusted=True)
+        rows = on.substitute(1, -(t * t)).substitute(0, u_t).c[:, 0]
+        rows.setflags(write=False)
+        return tuple(Jet(1, order, row, _trusted=True) for row in rows)
+
     @float_contract
     def derivatives(self, point) -> PointDerivatives:
         """First and second derivatives in (u, v) of the normal form at the

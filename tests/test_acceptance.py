@@ -155,7 +155,7 @@ def test_criterion_04_invariant_blowup():
             dev = abs(rep.limits[name] - target)
             devs.append(dev)
             assert dev <= 1e-5, (text, name)
-    _report(4, f"extrapolated st^2 (a20, a11, a02) hit targets (max dev {max(devs):.2e})")
+    _report(4, f"series limits of st^2 (a20, a11, a02) hit targets (max dev {max(devs):.2e})")
 
 
 def test_criterion_05_dichotomy():

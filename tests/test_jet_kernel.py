@@ -61,3 +61,21 @@ def test_product_below_the_order_matches_oracle(shape, rng):
         batch = _truncated_product(np.stack([a, b]), b, nvars, degree)
         assert batch[0].tobytes() == got.tobytes()
         assert batch[1].tobytes() == _truncated_product(b, b, nvars, degree).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 9, 400])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (9, 9), (9,)], ids=str)
+def test_batched_product_rows_equal_each_row_alone(shape, rows, rng):
+    """A batch is one bincount over all its rows; each row gets the bits of
+    its product alone at every degree, also against an unbatched operand."""
+    nvars, order = len(shape), shape[0] - 1
+    a, b = (np.stack([random_jet(rng, nvars, order).c for _ in range(rows)]) for _ in "ab")
+    single = random_jet(rng, nvars, order).c
+    for degree in range(order + 1):
+        for x, y in ((a, b), (a, single), (single, b)):
+            got = _truncated_product(x, y, nvars, degree)
+            assert got.shape == (rows,) + shape
+            for r in range(rows):
+                alone = _truncated_product(x[r] if x.ndim > nvars else x,
+                                           y[r] if y.ndim > nvars else y, nvars, degree)
+                assert got[r].tobytes() == alone.tobytes()
